@@ -58,8 +58,6 @@ let apply_batch d events =
   in
   Result.bind final (fun inputs -> Deployment.deploy d.Deployment.config inputs)
 
-let apply_all = apply_batch
-
 module Schedule = struct
   type window = { label : string; slos : (string * Lemur_slo.Slo.t) list }
 

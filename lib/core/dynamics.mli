@@ -31,9 +31,6 @@ val apply_batch : Deployment.t -> event list -> (Deployment.t, string) result
     sequence whose intermediate chain sets are infeasible but whose
     final set is feasible now succeeds. *)
 
-val apply_all : Deployment.t -> event list -> (Deployment.t, string) result
-(** Alias of {!apply_batch}. *)
-
 (** Precomputed placements for time-varying SLOs. *)
 module Schedule : sig
   type window = {

@@ -553,41 +553,45 @@ let lemur_variants config inputs =
             Some variants)
   end
 
+(* The first outcome with the highest marginal, or the first outcome
+   (the baseline's reason) when none is feasible. *)
+let best_outcome = function
+  | [] -> Infeasible { reason = "no variants" }
+  | first :: _ as outcomes -> (
+      match
+        Lemur_util.Listx.max_by
+          (function Placed p -> p.total_marginal | Infeasible _ -> neg_infinity)
+          (List.filter is_feasible outcomes)
+      with
+      | Some o -> o
+      | None -> first)
+
+(* Step 3 for one plan set: core allocation + LP under the forced
+   spare-core policy (ablations force one), or under each of them. *)
+let policy_outcomes ?policy strategy config plans ~start =
+  let policies =
+    match policy with
+    | Some p -> [ p ]
+    | None -> [ Alloc.Slo_driven; Alloc.By_index; Alloc.Even ]
+  in
+  List.map
+    (fun p -> finalize strategy config p plans ~elapsed_start:start)
+    policies
+
 let lemur_placement ?policy strategy config inputs start =
   match lemur_variants config inputs with
   | None -> Infeasible { reason = "no switch-feasible placement exists" }
   | Some variants ->
-      (* Step 3: core allocations + LP per candidate placement. When no
-         policy is forced (ablations force one), try both spare-core
-         orders and keep the better. *)
-      let policies =
-        match policy with
-        | Some p -> [ p ]
-        | None -> [ Alloc.Slo_driven; Alloc.By_index; Alloc.Even ]
-      in
-      let outcomes =
-        List.concat_map
-          (fun plans ->
-            List.map
-              (fun p -> finalize strategy config p plans ~elapsed_start:start)
-              policies)
-          variants
-      in
-      let best =
-        Lemur_util.Listx.max_by
-          (fun o -> match o with Placed p -> p.total_marginal | Infeasible _ -> neg_infinity)
-          (List.filter is_feasible outcomes)
-      in
-      (match best with
-      | Some o -> o
-      | None -> (
-          match outcomes with
-          | o :: _ -> o (* surface the baseline's reason *)
-          | [] -> Infeasible { reason = "no variants" }))
+      best_outcome
+        (List.concat_map
+           (fun plans -> policy_outcomes ?policy strategy config plans ~start)
+           variants)
 
-let evaluate_plans strategy config policy plans =
+let evaluate_plans ?policy strategy config plans =
   Memo.ensure config;
-  finalize strategy config policy plans ~elapsed_start:(Lemur_util.Timing.now ())
+  best_outcome
+    (policy_outcomes ?policy strategy config plans
+       ~start:(Lemur_util.Timing.now ()))
 
 (* ------------------------------------------------------------------ *)
 (* Brute-force Optimal                                                  *)

@@ -87,10 +87,13 @@ val clear_variant_cache : unit -> unit
 (** Drop the calling domain's cached variant entries. *)
 
 val evaluate_plans :
-  t -> Plan.config -> Alloc.spare_policy -> Plan.plan list -> outcome
+  ?policy:Alloc.spare_policy -> t -> Plan.config -> Plan.plan list -> outcome
 (** Step 3 in isolation (core allocation + rate LP + stage and latency
     checks) for externally chosen plans — used by the coalescing
-    ablation bench and tests. *)
+    ablation bench, the runtime's move-budget hybrid and tests. With
+    [policy] it allocates spare cores that way; without, it tries
+    [Slo_driven], [By_index] and [Even] and keeps the first feasible
+    outcome with the highest marginal, as {!place} does for [Lemur]. *)
 
 val is_feasible : outcome -> bool
 

@@ -26,11 +26,10 @@
 
     {2 Demand-aware placement}
 
-    With [demand_aware] on (the default), a chain with recorded demand
-    [r] is placed with effective burst ceiling
-    [min (t_max, max r t_min)] — the Placer stops reserving capacity
-    for bursts nobody is sending, which is what frees resources to
-    absorb traffic shifts. The contract [t_min] is never relaxed.
+    A chain with recorded demand [r] is placed with effective burst
+    ceiling [min (t_max, max r t_min)] — the Placer stops reserving
+    capacity for bursts nobody is sending, which is what frees resources
+    to absorb traffic shifts. The contract [t_min] is never relaxed.
 
     {2 Mandatory vs deferrable}
 
@@ -49,13 +48,13 @@
     Under {!Policy.Proactive} every chain carries a {!Forecast}
     forecaster fed by its traffic events. Each traffic event then asks:
     does any chain's predicted demand a horizon ahead — inflated by the
-    headroom, capped at its contractual [t_min], and scaled by the
-    monitor's tolerance — exceed what the live deployment allocated to
-    it? If so the event is classified {!Policy.Forecast} (the proactive
-    policy acts); otherwise it is an ordinary traffic shift (the
-    proactive policy defers). The demand-aware burst ceiling also
-    provisions for [max (observed, forecast * (1 + headroom))], so a
-    proactive re-placement sizes for where demand is {e headed}.
+    headroom and scaled by the monitor's tolerance — exceed what the
+    live deployment allocated to it? If so the event is classified
+    {!Policy.Forecast} (the proactive policy acts); otherwise it is an
+    ordinary traffic shift (the proactive policy defers). The
+    demand-aware burst ceiling also provisions for
+    [max (observed, forecast * (1 + headroom))], so a proactive
+    re-placement sizes for where demand is {e headed}.
     Per-chain mean absolute one-step-ahead errors are reported in
     {!Report.t.forecast_mae}.
 
@@ -84,7 +83,6 @@ type config = {
       (** oracle hook, run on every intermediate deployment; a failure
           is {!Oracle_rejected} — the differential-testing signal.
           Typically [Lemur_check.Oracle] via [Runtime_check.checker]. *)
-  demand_aware : bool;
   incremental : bool;
       (** Keep the placer's structural memo tables and variant cache
           warm across re-placements (the default). Each event derives a
@@ -108,13 +106,12 @@ val default_config :
   ?seed:int ->
   ?sample:float ->
   ?check:(Lemur.Deployment.t -> (unit, string) result) ->
-  ?demand_aware:bool ->
   ?incremental:bool ->
   ?move_budget:int ->
   unit ->
   config
 (** Defaults: [Immediate], seed 11, 10 ms sample, no oracle,
-    demand-aware, incremental, no move budget. *)
+    incremental, no move budget. *)
 
 type error =
   | Trace_invalid of string  (** initial chain set does not parse *)

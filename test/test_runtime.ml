@@ -504,6 +504,96 @@ let test_fail_recover_and_rejects () =
        .Lemur_topology.Topology.smartnics
     <> [])
 
+(* Recovery is order-free: the engine rebuilds the degraded rack from
+   the pristine one on every recovery, so recovering the SmartNIC
+   before the server that failed after it must still restore the
+   original rack. *)
+let test_out_of_order_recovery () =
+  let base = hand_trace () in
+  let trace =
+    {
+      base with
+      Trace.topo = { base.Trace.topo with Trace.servers = 3 };
+      events =
+        [
+          { Trace.at = 0.010; action = Trace.Fail Lemur.Failover.Smartnic_failed };
+          {
+            Trace.at = 0.020;
+            action = Trace.Fail (Lemur.Failover.Server_failed "server2");
+          };
+          { Trace.at = 0.030; action = Trace.Recover Lemur.Failover.Smartnic_failed };
+          {
+            Trace.at = 0.040;
+            action = Trace.Recover (Lemur.Failover.Server_failed "server2");
+          };
+        ];
+    }
+  in
+  let report, d = run_ok ~check:Lemur_check.Runtime_check.checker trace in
+  (match report.Report.stop with
+  | Report.Completed -> ()
+  | Report.Aborted { reason; _ } -> Alcotest.failf "aborted: %s" reason);
+  Alcotest.(check int) "all four events applied" 4 report.Report.events_applied;
+  Alcotest.(check int) "nothing rejected" 0 report.Report.events_rejected;
+  let recoveries =
+    List.filter
+      (function
+        | Report.Applied { what; _ } -> contains ~needle:"recover" what
+        | _ -> false)
+      report.Report.journal
+  in
+  Alcotest.(check int) "both recoveries applied" 2 (List.length recoveries);
+  let pristine = (Trace.config trace).Lemur_placer.Plan.topology in
+  let final = d.Lemur.Deployment.config.Lemur_placer.Plan.topology in
+  Alcotest.(check bool) "servers restored" true
+    (final.Lemur_topology.Topology.servers
+    = pristine.Lemur_topology.Topology.servers);
+  Alcotest.(check bool) "smartnics restored" true
+    (final.Lemur_topology.Topology.smartnics
+    = pristine.Lemur_topology.Topology.smartnics);
+  match Lemur_check.Oracle.check_deployment d with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "final deployment must pass the oracle"
+
+(* Report digests pinned to the values committed in BENCH_runtime.json:
+   a refactor of the control loop must not move any verdict, journal
+   entry or sampled epoch. *)
+let test_golden_digests () =
+  let digest ?move_budget ~seed policy trace =
+    let cfg =
+      Engine.default_config ~policy ~seed
+        ~check:Lemur_check.Runtime_check.checker ?move_budget ()
+    in
+    match Engine.run cfg trace with
+    | Ok (report, _) -> Report.digest report
+    | Error e -> Alcotest.failf "engine failed: %s" (Engine.error_to_string e)
+  in
+  let policy_trace = Trace.generate ~events:200 ~seed:11 () in
+  List.iter
+    (fun (name, policy, expected) ->
+      Alcotest.(check string) name expected
+        (digest ~seed:11 policy policy_trace))
+    [
+      ("immediate", Policy.Immediate, "e2e79df935fc91584db55d21c115ff19");
+      ("debounced", Policy.default_debounced, "ef98e763c6355e68401c529bec3e26f6");
+      ("scheduled", Policy.Scheduled, "4a44d6d4b249631e0f0d9149542d10bc");
+    ];
+  List.iter
+    (fun (kind, seed, policy, move_budget, expected) ->
+      let trace = Trace.generate ~events:50 ~kind ~seed () in
+      Alcotest.(check string)
+        (Printf.sprintf "%s:%d" (Trace.kind_to_string kind) seed)
+        expected
+        (digest ?move_budget ~seed policy trace))
+    [
+      ( Trace.Flash_crowd, 2, Policy.default_proactive, None,
+        "c29f08f93f5faa1761ec2b02d2ed4330" );
+      ( Trace.Failure_burst, 7, Policy.Immediate, Some 0,
+        "5f283ecbf6353b3651978d6982a12ba5" );
+      ( Trace.Churn, 5, Policy.Immediate, Some 0,
+        "8cc0b19c409bb473dc11ca37fe393e6c" );
+    ]
+
 let test_scheduled_defers () =
   let trace = Trace.generate ~events:24 ~seed:3 () in
   let sch, _ = run_ok ~policy:Policy.Scheduled trace in
@@ -587,5 +677,9 @@ let suite =
     Alcotest.test_case "proactive forecasting engine" `Quick
       test_proactive_engine;
     Alcotest.test_case "move budget caps re-homing" `Quick test_move_budget;
+    Alcotest.test_case "out-of-order recovery restores the rack" `Quick
+      test_out_of_order_recovery;
+    Alcotest.test_case "report digests match BENCH_runtime" `Quick
+      test_golden_digests;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_cases
