@@ -18,7 +18,8 @@
    placer, see docs/CLASSIFIER.md) land in the JSON next to them. *)
 
 open Lemur_classifier
-module Pool = Lemur_util.Pool
+module Kit = Bench_kit
+module Timing = Lemur_util.Timing
 module Json = Lemur_telemetry.Json
 
 type algo_result = {
@@ -43,14 +44,14 @@ type size_result = {
    the fold result is kept live so the loop cannot be dead-code
    eliminated. *)
 let time_lookups cls corpus ~passes =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Timing.now () in
   let acc = ref 0.0 in
   for _ = 1 to passes do
     Array.iter
       (fun h -> acc := !acc +. (Classifier.cost cls h).Classifier.o_cycles)
       corpus
   done;
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = Timing.elapsed t0 in
   ignore (Sys.opaque_identity !acc);
   (wall, passes * Array.length corpus)
 
@@ -60,9 +61,9 @@ let run_size ~quick size =
   let built =
     List.map
       (fun algo ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = Timing.now () in
         let cls = Classifier.build algo rs in
-        (algo, cls, Unix.gettimeofday () -. t0))
+        (algo, cls, Timing.elapsed t0))
       Classifier.all_algos
   in
   (* Agreement + digest in one deterministic pass: matched ids and
@@ -120,26 +121,6 @@ let run_size ~quick size =
     s_digest_line = Buffer.contents buf;
   }
 
-let run_corpus ~quick ~jobs sizes =
-  let results = Pool.map ~domains:jobs (run_size ~quick) sizes in
-  let crashes = ref [] in
-  let runs =
-    List.concat_map
-      (fun r ->
-        match r with
-        | Ok run -> [ run ]
-        | Error (e : Pool.job_error) ->
-            crashes := e.Pool.message :: !crashes;
-            [])
-      results
-  in
-  let digest =
-    Digest.to_hex
-      (Digest.string
-         (String.concat "\n" (List.map (fun r -> r.s_digest_line) runs)))
-  in
-  (runs, digest, List.rev !crashes)
-
 let rate a = if a.a_wall > 0.0 then float_of_int a.a_lookups /. a.a_wall else 0.0
 
 let algo_json a =
@@ -170,133 +151,100 @@ let find_rate s algo =
   | Some a -> rate a
   | None -> 0.0
 
-let main args =
-  let quick = ref false
-  and jobs = ref None
-  and sizes = ref None
-  and out = ref "BENCH_classify.json" in
-  let rec parse = function
-    | [] -> Ok ()
-    | "--quick" :: rest ->
-        quick := true;
-        parse rest
-    | ("-j" | "--jobs") :: v :: rest ->
-        jobs := Some (int_of_string v);
-        parse rest
-    | "--sizes" :: v :: rest ->
-        sizes := Some (List.map int_of_string (String.split_on_char ',' v));
-        parse rest
-    | "--out" :: v :: rest ->
-        out := v;
-        parse rest
-    | arg :: _ -> Error arg
+(* "--sizes 1000,10000": a comma-separated list of positive ruleset sizes. *)
+let sizes_flag r =
+  let parse v =
+    let sizes = List.map int_of_string_opt (String.split_on_char ',' v) in
+    if List.for_all (function Some n -> n >= 1 | None -> false) sizes then
+      r := Some (List.map Option.get sizes)
+    else
+      raise
+        (Arg.Bad (Printf.sprintf "--sizes %S: expected N,N,.. with N >= 1" v))
   in
-  match parse args with
-  | Error arg ->
-      Printf.eprintf
-        "bench classify: unknown argument %S\n\
-         usage: bench -- classify [--quick] [--sizes N,N,..] [-j N] [--out \
-         FILE]\n"
-        arg;
-      2
-  | Ok () ->
-      let sizes =
-        match !sizes with
-        | Some s -> s
-        | None -> if !quick then [ 1_000; 10_000 ] else [ 1_000; 10_000; 100_000 ]
-      in
-      let jobs =
-        match !jobs with
-        | Some j -> max 1 j
-        | None -> max 2 (Pool.recommended_domains ())
-      in
-      Printf.printf
-        "## classify: rulesets %s, linear vs tuple-space vs computed, -j 1 \
-         vs -j %d (host reports %d domain(s))\n%!"
-        (String.concat "/" (List.map string_of_int sizes))
-        jobs
-        (Pool.recommended_domains ());
-      let _seq_runs, seq_digest, seq_crashes =
-        run_corpus ~quick:!quick ~jobs:1 sizes
-      in
-      let par_runs, par_digest, par_crashes =
-        run_corpus ~quick:!quick ~jobs sizes
-      in
-      let crashes = seq_crashes @ par_crashes in
-      List.iter (fun m -> Printf.printf "  CRASH: %s\n" m) crashes;
+  [ ("--sizes", Arg.String parse, "N,N,.. ruleset sizes") ]
+
+let main args =
+  let quick = ref false and sizes = ref None in
+  let jobs = ref (Kit.default_jobs ()) in
+  Kit.main ~cmd:"classify" ~out:"BENCH_classify.json"
+    ~specs:(Kit.quick quick @ sizes_flag sizes @ Kit.jobs jobs)
+    args
+  @@ fun () ->
+  let sizes =
+    match !sizes with
+    | Some s -> s
+    | None -> if !quick then [ 1_000; 10_000 ] else [ 1_000; 10_000; 100_000 ]
+  in
+  let jobs = !jobs in
+  Printf.printf
+    "## classify: rulesets %s, linear vs tuple-space vs computed, %s\n%!"
+    (String.concat "/" (List.map string_of_int sizes))
+    (Kit.jobs_note jobs);
+  let v =
+    Kit.corpus_versus ~jobs
+      ~lines:(List.map (fun s -> s.s_digest_line))
+      (run_size ~quick:!quick) sizes
+  in
+  let crashes = Kit.crashes v in
+  let par_runs = v.Kit.par.Kit.value.Kit.runs in
+  List.iter
+    (fun s ->
+      Printf.printf "  %7d rules%s\n" s.s_size
+        (if s.s_mismatches = 0 then ""
+         else Printf.sprintf "  %d AGREEMENT MISMATCHES" s.s_mismatches);
       List.iter
-        (fun s ->
-          Printf.printf "  %7d rules%s\n" s.s_size
-            (if s.s_mismatches = 0 then ""
-             else Printf.sprintf "  %d AGREEMENT MISMATCHES" s.s_mismatches);
-          List.iter
-            (fun a ->
-              Printf.printf
-                "    %-12s %12.0f lookups/s   mean %8.0f cy   worst %8.0f cy   \
-                 %s\n"
-                (Classifier.algo_name a.a_algo)
-                (rate a) a.a_mean_cycles a.a_worst_cycles a.a_structure)
-            s.s_algos)
-        par_runs;
-      let digests_equal = String.equal seq_digest par_digest in
-      let agreement = List.for_all (fun s -> s.s_mismatches = 0) par_runs in
-      let top =
-        List.fold_left
-          (fun acc s ->
-            match acc with
-            | Some t when t.s_size >= s.s_size -> acc
-            | _ -> Some s)
-          None par_runs
-      in
-      let speedup =
-        match top with
-        | None -> 0.0
-        | Some s ->
-            let lin = find_rate s Classifier.Linear_scan in
-            let nuevo = find_rate s Classifier.Computed in
-            if lin > 0.0 then nuevo /. lin else 0.0
-      in
-      let speedup_ok = speedup >= 5.0 in
-      Printf.printf "agreement: %s\n"
-        (if agreement then "ok, all three classifiers identical on every header"
-         else "MISMATCH");
-      Printf.printf "speedup: computed %.1fx linear at %d rules (gate: >= 5x) \
-                     %s\n"
-        speedup
-        (match top with Some s -> s.s_size | None -> 0)
-        (if speedup_ok then "ok" else "FAILED");
-      Printf.printf "determinism: %s\n"
-        (if digests_equal then
-           Printf.sprintf "ok, digest %s identical at -j 1 and -j %d"
-             par_digest jobs
-         else
-           Printf.sprintf "DIGEST MISMATCH (-j 1: %s, -j %d: %s)" seq_digest
-             jobs par_digest);
-      let doc =
-        Json.Obj
-          [
-            ("schema", Json.String "lemur.bench.classify/1");
-            ("quick", Json.Bool !quick);
-            ("jobs", Json.Int jobs);
-            ("host_domains", Json.Int (Pool.recommended_domains ()));
-            ("sizes", Json.List (List.map (fun s -> Json.Int s) sizes));
-            ("runs", Json.List (List.map size_json par_runs));
-            ( "speedup_computed_vs_linear_at_top",
-              Json.Float speedup );
-            ("speedup_ok", Json.Bool speedup_ok);
-            ("agreement", Json.Bool agreement);
-            ("digest", Json.String par_digest);
-            ("digests_equal", Json.Bool digests_equal);
-            ("crashes", Json.List (List.map (fun m -> Json.String m) crashes));
-          ]
-      in
-      let oc = open_out !out in
-      output_string oc (Json.to_string doc);
-      output_string oc "\n";
-      close_out oc;
-      Printf.printf "wrote %s\n" !out;
-      if
-        agreement && speedup_ok && digests_equal && crashes = []
-        && par_runs <> []
-      then 0
-      else 1
+        (fun a ->
+          Printf.printf
+            "    %-12s %12.0f lookups/s   mean %8.0f cy   worst %8.0f cy   %s\n"
+            (Classifier.algo_name a.a_algo)
+            (rate a) a.a_mean_cycles a.a_worst_cycles a.a_structure)
+        s.s_algos)
+    par_runs;
+  let agreement = List.for_all (fun s -> s.s_mismatches = 0) par_runs in
+  let top =
+    List.fold_left
+      (fun acc s ->
+        match acc with
+        | Some t when t.s_size >= s.s_size -> acc
+        | _ -> Some s)
+      None par_runs
+  in
+  let speedup =
+    match top with
+    | None -> 0.0
+    | Some s ->
+        let lin = find_rate s Classifier.Linear_scan in
+        let nuevo = find_rate s Classifier.Computed in
+        if lin > 0.0 then nuevo /. lin else 0.0
+  in
+  let speedup_ok = speedup >= 5.0 in
+  let top_size = match top with Some s -> s.s_size | None -> 0 in
+  Printf.printf "agreement: %s\n"
+    (if agreement then "ok, all three classifiers identical on every header"
+     else "MISMATCH");
+  Printf.printf "speedup: computed %.1fx linear at %d rules (gate: >= 5x) %s\n"
+    speedup top_size
+    (if speedup_ok then "ok" else "FAILED");
+  {
+    Kit.schema = "lemur.bench.classify/1";
+    fields =
+      [
+        ("quick", Json.Bool !quick);
+        ("jobs", Json.Int jobs);
+        ("sizes", Json.List (List.map (fun s -> Json.Int s) sizes));
+        ("runs", Json.List (List.map size_json par_runs));
+        ("speedup_computed_vs_linear_at_top", Json.Float speedup);
+        ("digest", Json.String v.Kit.par.Kit.digest);
+        ("crashes", Json.List (List.map (fun m -> Json.String m) crashes));
+      ];
+    gates =
+      [
+        Kit.gate "agreement" agreement
+          "a classifier disagreed with the linear scan";
+        Kit.gate "speedup_ok" speedup_ok
+          (Printf.sprintf "computed index only %.1fx linear at %d rules (< 5x)"
+             speedup top_size);
+        Kit.digest_gate v;
+        Kit.crash_gate crashes;
+      ];
+  }

@@ -14,9 +14,11 @@
      counters and delivered rates, folded in seed order — at -j N must
      be byte-identical to -j 1.
 
-   The headline metric is packet-hops served per host wall-clock
-   second (a packet crossing one element is one hop), plus plain
-   packets per second at ingress; both land in the JSON either way. *)
+   Throughput is reported twice, on separate lines: packets injected
+   per host wall-clock second, and packet-hops per second (a packet
+   crossing one server element is one hop). Fully offloaded runs serve
+   every packet on the switch and record 0 hops, so the share of
+   injected packets in those runs is reported next to them. *)
 
 module Strategy = Lemur_placer.Strategy
 module Plan = Lemur_placer.Plan
@@ -24,7 +26,7 @@ module Scenario = Lemur_check.Scenario
 module Convergence = Lemur_check.Convergence
 module Engine = Lemur_dataplane.Engine
 module Sim = Lemur_dataplane.Sim
-module Pool = Lemur_util.Pool
+module Kit = Bench_kit
 module Units = Lemur_util.Units
 module Json = Lemur_telemetry.Json
 
@@ -102,25 +104,7 @@ let run_seed ~quick seed =
           r_digest_line = Buffer.contents buf;
         }
 
-let run_corpus ~quick ~jobs seeds =
-  let results = Pool.map ~domains:jobs (run_seed ~quick) seeds in
-  let crashes = ref [] in
-  let runs =
-    List.concat_map
-      (fun r ->
-        match r with
-        | Ok (Some run) -> [ run ]
-        | Ok None -> []
-        | Error (e : Pool.job_error) ->
-            crashes := e.Pool.message :: !crashes;
-            [])
-      results
-  in
-  let digest =
-    Digest.to_hex
-      (Digest.string (String.concat "\n" (List.map (fun r -> r.r_digest_line) runs)))
-  in
-  (runs, digest, List.rev !crashes)
+let rate n wall = if wall > 0.0 then float_of_int n /. wall else 0.0
 
 let run_json r =
   Json.Obj
@@ -132,145 +116,102 @@ let run_json r =
       ("injected_pkts", Json.Int r.r_injected);
       ("packet_hops", Json.Int r.r_hops);
       ("wall_s", Json.Float r.r_wall);
-      ( "hops_per_sec",
-        Json.Float
-          (if r.r_wall > 0.0 then float_of_int r.r_hops /. r.r_wall else 0.0)
-      );
+      ("hops_per_sec", Json.Float (rate r.r_hops r.r_wall));
       ("conserved", Json.Bool r.r_conserved);
       ("converged", Json.Bool (r.r_divergences = []));
     ]
 
 let main args =
-  let seed = ref 1
-  and count = ref None
-  and jobs = ref None
-  and quick = ref false
-  and out = ref "BENCH_packets.json" in
-  let rec parse = function
-    | [] -> Ok ()
-    | "--seed" :: v :: rest ->
-        seed := int_of_string v;
-        parse rest
-    | "--count" :: v :: rest ->
-        count := Some (int_of_string v);
-        parse rest
-    | ("-j" | "--jobs") :: v :: rest ->
-        jobs := Some (int_of_string v);
-        parse rest
-    | "--quick" :: rest ->
-        quick := true;
-        parse rest
-    | "--out" :: v :: rest ->
-        out := v;
-        parse rest
-    | arg :: _ -> Error arg
+  let seed = ref 1 and count = ref None and jobs = ref (Kit.default_jobs ())
+  and quick = ref false in
+  Kit.main ~cmd:"packets" ~out:"BENCH_packets.json"
+    ~specs:(Kit.quick quick @ Kit.seed seed @ Kit.count count @ Kit.jobs jobs)
+    args
+  @@ fun () ->
+  let count = Option.value !count ~default:(if !quick then 8 else 24) in
+  let jobs = !jobs in
+  let seeds = List.init count (fun i -> !seed + i) in
+  Printf.printf
+    "## packets: %d scenario seed(s) from %d, engine vs sim at overdrive 1.0, \
+     %s\n%!"
+    count !seed (Kit.jobs_note jobs);
+  let v =
+    Kit.corpus_versus ~jobs
+      ~lines:(List.filter_map (Option.map (fun r -> r.r_digest_line)))
+      (fun seed -> run_seed ~quick:!quick seed)
+      seeds
   in
-  match parse args with
-  | Error arg ->
-      Printf.eprintf
-        "bench packets: unknown argument %S\n\
-         usage: bench -- packets [--quick] [--seed N] [--count N] [-j N] \
-         [--out FILE]\n"
-        arg;
-      2
-  | Ok () ->
-      let count =
-        match !count with Some c -> c | None -> if !quick then 8 else 24
-      in
-      let jobs =
-        match !jobs with
-        | Some j -> max 1 j
-        | None -> max 2 (Pool.recommended_domains ())
-      in
-      let seeds = List.init count (fun i -> !seed + i) in
+  let crashes = Kit.crashes v in
+  (* [run_seed] answers None for an infeasible scenario *)
+  let par_runs = List.filter_map Fun.id v.Kit.par.Kit.value.Kit.runs in
+  let wall = List.fold_left (fun a r -> a +. r.r_wall) 0.0 par_runs in
+  let hops = List.fold_left (fun a r -> a + r.r_hops) 0 par_runs in
+  let injected = List.fold_left (fun a r -> a + r.r_injected) 0 par_runs in
+  (* Fully offloaded runs serve every packet on the switch: 0 hops, yet
+     they carry most of the injected packets and the engine wall. *)
+  let offloaded =
+    List.fold_left
+      (fun a r -> if r.r_hops = 0 then a + r.r_injected else a)
+      0 par_runs
+  in
+  let offloaded_share =
+    if injected > 0 then float_of_int offloaded /. float_of_int injected
+    else 0.0
+  in
+  List.iter
+    (fun r ->
       Printf.printf
-        "## packets: %d scenario seed(s) from %d, engine vs sim at overdrive \
-         1.0, -j 1 vs -j %d (host reports %d domain(s))\n%!"
-        count !seed jobs
-        (Pool.recommended_domains ());
-      let _seq_runs, seq_digest, seq_crashes =
-        run_corpus ~quick:!quick ~jobs:1 seeds
-      in
-      let par_runs, par_digest, par_crashes =
-        run_corpus ~quick:!quick ~jobs seeds
-      in
-      let crashes = seq_crashes @ par_crashes in
-      List.iter (fun m -> Printf.printf "  CRASH: %s\n" m) crashes;
-      let wall = List.fold_left (fun a r -> a +. r.r_wall) 0.0 par_runs in
-      let hops = List.fold_left (fun a r -> a + r.r_hops) 0 par_runs in
-      let injected =
-        List.fold_left (fun a r -> a + r.r_injected) 0 par_runs
-      in
+        "  seed %3d: %d chain(s), offered %6.2f Gbps, delivered %6.2f Gbps, \
+         %7d hops in %.3fs%s%s\n"
+        r.r_seed r.r_chains (r.r_offered /. 1e9) (r.r_delivered /. 1e9)
+        r.r_hops r.r_wall
+        (if r.r_conserved then "" else "  CONSERVATION VIOLATED")
+        (if r.r_divergences = [] then "" else "  DIVERGED");
       List.iter
-        (fun r ->
-          Printf.printf
-            "  seed %3d: %d chain(s), offered %6.2f Gbps, delivered %6.2f \
-             Gbps, %7d hops in %.3fs%s%s\n"
-            r.r_seed r.r_chains (r.r_offered /. 1e9) (r.r_delivered /. 1e9)
-            r.r_hops r.r_wall
-            (if r.r_conserved then "" else "  CONSERVATION VIOLATED")
-            (if r.r_divergences = [] then "" else "  DIVERGED");
-          List.iter
-            (fun d -> Printf.printf "      divergence: %s\n" d)
-            r.r_divergences)
-        par_runs;
-      let digests_equal = String.equal seq_digest par_digest in
-      let all_converged =
-        List.for_all (fun r -> r.r_divergences = []) par_runs
-      in
-      let all_conserved = List.for_all (fun r -> r.r_conserved) par_runs in
-      Printf.printf "placed %d of %d scenario(s)\n" (List.length par_runs)
-        count;
-      Printf.printf "packet-hops/sec: %.0f (%d hops, %d packets, %.2fs engine \
-                     wall)\n"
-        (if wall > 0.0 then float_of_int hops /. wall else 0.0)
-        hops injected wall;
-      Printf.printf "determinism: %s\n"
-        (if digests_equal then
-           Printf.sprintf "ok, digest %s identical at -j 1 and -j %d"
-             par_digest jobs
-         else
-           Printf.sprintf "DIGEST MISMATCH (-j 1: %s, -j %d: %s)" seq_digest
-             jobs par_digest);
-      Printf.printf "convergence: %s\n"
-        (if all_converged then "ok, every run within tolerance"
-         else "DIVERGED from the rate model");
-      Printf.printf "conservation: %s\n"
-        (if all_conserved then "ok" else "VIOLATED");
-      let doc =
-        Json.Obj
-          [
-            ("schema", Json.String "lemur.bench.packets/1");
-            ("seed", Json.Int !seed);
-            ("count", Json.Int count);
-            ("placed", Json.Int (List.length par_runs));
-            ("jobs", Json.Int jobs);
-            ("host_domains", Json.Int (Pool.recommended_domains ()));
-            ("quick", Json.Bool !quick);
-            ("runs", Json.List (List.map run_json par_runs));
-            ("packet_hops", Json.Int hops);
-            ("injected_pkts", Json.Int injected);
-            ("engine_wall_s", Json.Float wall);
-            ( "hops_per_sec",
-              Json.Float
-                (if wall > 0.0 then float_of_int hops /. wall else 0.0) );
-            ( "packets_per_sec",
-              Json.Float
-                (if wall > 0.0 then float_of_int injected /. wall else 0.0) );
-            ("digest", Json.String par_digest);
-            ("digests_equal", Json.Bool digests_equal);
-            ("converged", Json.Bool all_converged);
-            ("conserved", Json.Bool all_conserved);
-            ("crashes", Json.List (List.map (fun m -> Json.String m) crashes));
-          ]
-      in
-      let oc = open_out !out in
-      output_string oc (Json.to_string doc);
-      output_string oc "\n";
-      close_out oc;
-      Printf.printf "wrote %s\n" !out;
-      if
-        digests_equal && all_converged && all_conserved && crashes = []
-        && par_runs <> []
-      then 0
-      else 1
+        (fun d -> Printf.printf "      divergence: %s\n" d)
+        r.r_divergences)
+    par_runs;
+  let all_converged = List.for_all (fun r -> r.r_divergences = []) par_runs in
+  let all_conserved = List.for_all (fun r -> r.r_conserved) par_runs in
+  Printf.printf "placed %d of %d scenario(s)\n" (List.length par_runs) count;
+  Printf.printf
+    "packets/sec: %.0f (%d packets, %.0f%% in fully offloaded runs)\n"
+    (rate injected wall) injected (100.0 *. offloaded_share);
+  Printf.printf "packet-hops/sec: %.0f (%d hops, %.2fs engine wall)\n"
+    (rate hops wall) hops wall;
+  Printf.printf "convergence: %s\n"
+    (if all_converged then "ok, every run within tolerance"
+     else "DIVERGED from the rate model");
+  Printf.printf "conservation: %s\n"
+    (if all_conserved then "ok" else "VIOLATED");
+  {
+    Kit.schema = "lemur.bench.packets/1";
+    fields =
+      [
+        ("seed", Json.Int !seed);
+        ("count", Json.Int count);
+        ("placed", Json.Int (List.length par_runs));
+        ("jobs", Json.Int jobs);
+        ("quick", Json.Bool !quick);
+        ("runs", Json.List (List.map run_json par_runs));
+        ("packet_hops", Json.Int hops);
+        ("injected_pkts", Json.Int injected);
+        ("offloaded_pkt_share", Json.Float offloaded_share);
+        ("engine_wall_s", Json.Float wall);
+        ("hops_per_sec", Json.Float (rate hops wall));
+        ("packets_per_sec", Json.Float (rate injected wall));
+        ("digest", Json.String v.Kit.par.Kit.digest);
+        ("crashes", Json.List (List.map (fun m -> Json.String m) crashes));
+      ];
+    gates =
+      [
+        Kit.digest_gate v;
+        Kit.gate "converged" all_converged
+          "an engine run diverged from the rate model";
+        Kit.gate "conserved" all_conserved
+          "a run broke injected = delivered + dropped + in-flight";
+        Kit.crash_gate crashes;
+        Kit.gate "any_placed" (par_runs <> [])
+          "no scenario of the corpus placed";
+      ];
+  }

@@ -15,6 +15,8 @@ module Simplex = Lemur_lp.Simplex
 module Scenario = Lemur_check.Scenario
 module Fuzz = Lemur_check.Fuzz
 module Prng = Lemur_util.Prng
+module Timing = Lemur_util.Timing
+module Kit = Bench_kit
 
 (* ------------------------------------------------------------------ *)
 (* Fixed-seed LP corpus. Identical in --quick and full mode so the
@@ -97,8 +99,6 @@ let corpus =
 
 (* ------------------------------------------------------------------ *)
 
-let now = Unix.gettimeofday
-
 let counter_value tm name = Counter.value (Telemetry.counter tm name)
 
 let simplex_pivot_counters =
@@ -113,15 +113,9 @@ let simplex_pivot_counters =
 let total_simplex_pivots tm =
   List.fold_left (fun acc n -> acc + counter_value tm n) 0 simplex_pivot_counters
 
-(* Run [f] against a fresh recording registry; restore the disabled
-   sink afterwards and hand the registry back for counter reads. *)
-let with_registry f =
-  let tm = Telemetry.create () in
-  Telemetry.set_current tm;
-  let finally () = Telemetry.set_current Telemetry.disabled in
-  let r = try f () with e -> finally (); raise e in
-  finally ();
-  (r, tm)
+(* Run [f] against a fresh recording registry and hand the registry
+   back with its result, for counter reads. *)
+let with_registry f = Telemetry.scoped (fun tm -> (f (), tm))
 
 (* Wall-clock ns for one pass over the corpus, averaged over [reps]
    passes with telemetry disabled (so instrumentation cost is not part
@@ -129,11 +123,11 @@ let with_registry f =
 let time_passes ~reps f =
   Telemetry.set_current Telemetry.disabled;
   f () (* warm-up, excluded *);
-  let t0 = now () in
+  let t0 = Timing.now () in
   for _ = 1 to reps do
     f ()
   done;
-  (now () -. t0) *. 1e9 /. float_of_int reps
+  Timing.elapsed t0 *. 1e9 /. float_of_int reps
 
 type solver_outcome = Opt of float | Infeas | Unbound
 
@@ -230,7 +224,7 @@ let bench_simplex ~reps =
 let bench_milp ~seeds =
   let run ~warm =
     with_registry (fun () ->
-        let t0 = now () in
+        let t0 = Timing.now () in
         let objectives =
           List.map
             (fun seed ->
@@ -241,7 +235,7 @@ let bench_milp ~seeds =
               | exception Lemur_placer.Milp.Unsupported _ -> Unbound)
             seeds
         in
-        (objectives, now () -. t0))
+        (objectives, Timing.elapsed t0))
   in
   let (cold_obj, cold_wall), cold_tm = run ~warm:false in
   let (warm_obj, warm_wall), warm_tm = run ~warm:true in
@@ -354,9 +348,9 @@ let bench_strategy ~seeds =
   let hits0, misses0 = Lemur_placer.Memo.stats () in
   let evictions0 = Lemur_placer.Memo.evictions () in
   let vc_hits0, vc_misses0 = Lemur_placer.Strategy.variant_cache_stats () in
-  let t0 = now () in
+  let t0 = Timing.now () in
   let cached = pass ~fresh:false in
-  let wall = now () -. t0 in
+  let wall = Timing.elapsed t0 in
   let hits1, misses1 = Lemur_placer.Memo.stats () in
   let vc_hits1, vc_misses1 = Lemur_placer.Strategy.variant_cache_stats () in
   let evictions = Lemur_placer.Memo.evictions () - evictions0 in
@@ -365,9 +359,9 @@ let bench_strategy ~seeds =
      structural memoization must be invisible in the results, or the
      cache is wrong, not fast. *)
   Lemur_placer.Strategy.set_variant_cache false;
-  let tu0 = now () in
+  let tu0 = Timing.now () in
   let uncached = pass ~fresh:true in
-  let uncached_wall = now () -. tu0 in
+  let uncached_wall = Timing.elapsed tu0 in
   Lemur_placer.Strategy.set_variant_cache true;
   let placements_match = List.for_all2 String.equal cached uncached in
   let places = List.length cached in
@@ -396,9 +390,9 @@ let bench_strategy ~seeds =
   (json, hit_rate, placements_match)
 
 let bench_fuzz ~jobs ~count =
-  let t0 = now () in
+  let t0 = Timing.now () in
   let s = Fuzz.run ~quick:true ~sim:true ~jobs ~seed:1 ~count () in
-  let wall = now () -. t0 in
+  let wall = Timing.elapsed t0 in
   Json.Obj
     [
       ("count", Json.Int count);
@@ -430,138 +424,112 @@ let read_baseline path =
   | Error msg -> Error (path ^ ": " ^ msg)
   | exception Sys_error msg -> Error msg
 
-let usage () =
-  prerr_endline
-    "usage: bench -- perf [--quick] [-j N] [--out FILE] [--baseline FILE] \
-     [--min-hit-rate R]";
-  2
+(* --baseline is read while the flags are parsed, so an unreadable file
+   is a usage error (exit 2) before any work runs. *)
+let baseline_flag r =
+  let read path =
+    match read_baseline path with
+    | Ok pivots -> r := Some pivots
+    | Error msg -> raise (Arg.Bad ("cannot read baseline: " ^ msg))
+  in
+  [
+    ( "--baseline",
+      Arg.String read,
+      "FILE fail if pivots exceed 1.2x its simplex_pivots" );
+  ]
+
+let hit_rate_flag r =
+  let set v =
+    if v < 0.0 || v > 1.0 then
+      raise (Arg.Bad (Printf.sprintf "--min-hit-rate %g: must be in [0, 1]" v));
+    r := Some v
+  in
+  [
+    ( "--min-hit-rate",
+      Arg.Float set,
+      "R fail if the strategy cache hit rate is below R" );
+  ]
 
 let main args =
-  let quick = ref false
-  and jobs = ref 1
-  and out = ref "BENCH_perf.json"
-  and baseline = ref None
+  let quick = ref false and jobs = ref 1 and baseline = ref None
   and min_hit_rate = ref None in
-  let rec parse = function
-    | [] -> true
-    | "--quick" :: rest ->
-        quick := true;
-        parse rest
-    | ("-j" | "--jobs") :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some j when j >= 1 ->
-            jobs := j;
-            parse rest
-        | _ -> false)
-    | "--out" :: file :: rest ->
-        out := file;
-        parse rest
-    | "--baseline" :: file :: rest ->
-        baseline := Some file;
-        parse rest
-    | "--min-hit-rate" :: v :: rest -> (
-        match float_of_string_opt v with
-        | Some r when r >= 0.0 && r <= 1.0 ->
-            min_hit_rate := Some r;
-            parse rest
-        | _ -> false)
-    | _ -> false
+  Kit.main ~cmd:"perf" ~out:"BENCH_perf.json"
+    ~specs:
+      (Kit.quick quick @ Kit.jobs jobs @ baseline_flag baseline
+      @ hit_rate_flag min_hit_rate)
+    args
+  @@ fun () ->
+  let quick = !quick in
+  let reps = if quick then 20 else 200 in
+  let milp_seeds = List.init (if quick then 5 else 15) (fun i -> i + 1) in
+  let strat_seeds = List.init (if quick then 10 else 50) (fun i -> i + 1) in
+  let fuzz_count = if quick then 10 else 50 in
+  Printf.printf "perf: simplex corpus (%d instances, %d timing passes)...\n%!"
+    (List.length corpus) reps;
+  let simplex_json, base_pivots, opt_pivots, speedup, agree =
+    bench_simplex ~reps
   in
-  if not (parse args) then usage ()
-  else begin
-    let quick = !quick in
-    let reps = if quick then 20 else 200 in
-    let milp_seeds = List.init (if quick then 5 else 15) (fun i -> i + 1) in
-    let strat_seeds = List.init (if quick then 10 else 50) (fun i -> i + 1) in
-    let fuzz_count = if quick then 10 else 50 in
-    Printf.printf "perf: simplex corpus (%d instances, %d timing passes)...\n%!"
-      (List.length corpus) reps;
-    let simplex_json, base_pivots, opt_pivots, speedup, agree =
-      bench_simplex ~reps
-    in
-    Printf.printf
-      "  pivots: baseline %d, optimized %d (%.2fx); wall speedup %.2fx; \
-       outcomes agree: %b\n\
-       %!"
-      base_pivots opt_pivots
-      (float_of_int base_pivots /. float_of_int opt_pivots)
-      speedup agree;
-    Printf.printf "perf: MILP warm vs cold (%d seeds)...\n%!"
-      (List.length milp_seeds);
-    let milp_json, milp_agree = bench_milp ~seeds:milp_seeds in
-    Printf.printf "  objectives match: %b\n%!" milp_agree;
-    Printf.printf "perf: strategy cache (%d seeds)...\n%!"
-      (List.length strat_seeds);
-    let strategy_json, hit_rate, placements_match =
-      bench_strategy ~seeds:strat_seeds
-    in
-    Printf.printf
-      "  hit rate %.1f%%; cached placements match uncached: %b\n%!"
-      (100.0 *. hit_rate) placements_match;
-    Printf.printf "perf: fuzz workload (%d scenarios, %d job(s))...\n%!"
-      fuzz_count !jobs;
-    let fuzz_json = bench_fuzz ~jobs:!jobs ~count:fuzz_count in
-    let doc =
-      Json.Obj
-        [
-          ("schema", Json.String "lemur.perf/1");
-          ("quick", Json.Bool quick);
-          (* the number the CI gate compares: total pivots of the
-             default (Dantzig) solver over the fixed corpus *)
-          ("simplex_pivots", Json.Int opt_pivots);
-          ("baseline_simplex_pivots", Json.Int base_pivots);
-          ("simplex", simplex_json);
-          ("milp", milp_json);
-          ("strategy", strategy_json);
-          ("fuzz", fuzz_json);
-        ]
-    in
-    let oc = open_out !out in
-    output_string oc (Json.to_string doc);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "perf: wrote %s\n%!" !out;
-    if not (agree && milp_agree) then begin
-      prerr_endline "perf: FAIL — optimized solver diverged from baseline";
-      1
-    end
-    else if not placements_match then begin
-      prerr_endline
-        "perf: FAIL — cached placements differ from uncached (memo unsound)";
-      1
-    end
-    else if
-      match !min_hit_rate with Some r -> hit_rate < r | None -> false
-    then begin
-      Printf.eprintf
-        "perf: FAIL — strategy cache hit rate %.1f%% below the %.1f%% floor\n"
-        (100.0 *. hit_rate)
-        (100.0 *. Option.get !min_hit_rate);
-      1
-    end
-    else
-      match !baseline with
-      | None -> 0
-      | Some path -> (
-          match read_baseline path with
-          | Error msg ->
-              Printf.eprintf "perf: cannot read baseline: %s\n" msg;
-              2
-          | Ok expected ->
-              let limit =
-                int_of_float (Float.round (1.2 *. float_of_int expected))
-              in
-              if opt_pivots > limit then begin
-                Printf.eprintf
-                  "perf: FAIL — %d simplex pivots on the fixed corpus, >20%% \
-                   above the checked-in baseline of %d\n"
-                  opt_pivots expected;
-                1
-              end
-              else begin
-                Printf.printf
-                  "perf: pivot regression gate OK (%d <= %d = 1.2 * %d)\n%!"
-                  opt_pivots limit expected;
-                0
-              end)
-  end
+  Printf.printf
+    "  pivots: baseline %d, optimized %d (%.2fx); wall speedup %.2fx; \
+     outcomes agree: %b\n\
+     %!"
+    base_pivots opt_pivots
+    (float_of_int base_pivots /. float_of_int opt_pivots)
+    speedup agree;
+  Printf.printf "perf: MILP warm vs cold (%d seeds)...\n%!"
+    (List.length milp_seeds);
+  let milp_json, milp_agree = bench_milp ~seeds:milp_seeds in
+  Printf.printf "  objectives match: %b\n%!" milp_agree;
+  Printf.printf "perf: strategy cache (%d seeds)...\n%!"
+    (List.length strat_seeds);
+  let strategy_json, hit_rate, placements_match =
+    bench_strategy ~seeds:strat_seeds
+  in
+  Printf.printf
+    "  hit rate %.1f%%; cached placements match uncached: %b\n%!"
+    (100.0 *. hit_rate) placements_match;
+  Printf.printf "perf: fuzz workload (%d scenarios, %d job(s))...\n%!"
+    fuzz_count !jobs;
+  let fuzz_json = bench_fuzz ~jobs:!jobs ~count:fuzz_count in
+  let floor = Option.value !min_hit_rate ~default:0.0 in
+  (* the CI regression gate: total pivots of the default (Dantzig)
+     solver over the fixed corpus against the checked-in baseline *)
+  let pivot_gate =
+    match !baseline with
+    | None -> Kit.gate "pivots_ok" true ""
+    | Some expected ->
+        let limit = int_of_float (Float.round (1.2 *. float_of_int expected)) in
+        if opt_pivots <= limit then
+          Printf.printf
+            "perf: pivot regression gate OK (%d <= %d = 1.2 * %d)\n%!"
+            opt_pivots limit expected;
+        Kit.gate "pivots_ok" (opt_pivots <= limit)
+          (Printf.sprintf
+             "%d simplex pivots on the fixed corpus, >20%% above the \
+              checked-in baseline of %d"
+             opt_pivots expected)
+  in
+  {
+    Kit.schema = "lemur.perf/1";
+    fields =
+      [
+        ("quick", Json.Bool quick);
+        ("simplex_pivots", Json.Int opt_pivots);
+        ("baseline_simplex_pivots", Json.Int base_pivots);
+        ("simplex", simplex_json);
+        ("milp", milp_json);
+        ("strategy", strategy_json);
+        ("fuzz", fuzz_json);
+      ];
+    gates =
+      [
+        Kit.gate "solvers_agree" (agree && milp_agree)
+          "optimized solver diverged from baseline";
+        Kit.gate "placements_match" placements_match
+          "cached placements differ from uncached (memo unsound)";
+        Kit.gate "hit_rate_ok" (hit_rate >= floor)
+          (Printf.sprintf "strategy cache hit rate %.1f%% below the %.1f%% floor"
+             (100.0 *. hit_rate) (100.0 *. floor));
+        pivot_gate;
+      ];
+  }

@@ -27,6 +27,7 @@ module Engine = Lemur_runtime.Engine
 module Policy = Lemur_runtime.Policy
 module Report = Lemur_runtime.Report
 module Json = Lemur_telemetry.Json
+module Kit = Bench_kit
 
 let default_seed = 11
 let default_events = 200
@@ -37,6 +38,16 @@ let default_events = 200
    concrete. *)
 let violation_premium_abs = 0.10
 let violation_premium_rel = 1.5
+
+(* One engine run, oracle on: every intermediate deployment is checked. *)
+let drive_trace ?move_budget ?incremental ~seed policy trace =
+  let cfg =
+    Engine.default_config ~policy ~seed ~check:Lemur_check.Runtime_check.checker
+      ?move_budget ?incremental ()
+  in
+  match Engine.run cfg trace with
+  | Ok (report, _) -> Ok report
+  | Error e -> Error (Engine.error_to_string e)
 
 let latency_stats latencies =
   match latencies with
@@ -94,7 +105,7 @@ type corpus_row = {
   cr_results : (string * Report.t) list;  (* in corpus_policies order *)
 }
 
-let run_corpus ~quick ~drive_trace =
+let run_corpus ~quick =
   let rows =
     List.map
       (fun (kind, seed, events) ->
@@ -102,7 +113,7 @@ let run_corpus ~quick ~drive_trace =
         let results =
           List.map
             (fun (name, p) ->
-              match drive_trace ?move_budget:None ~seed p trace with
+              match drive_trace ~seed p trace with
               | Ok r -> (name, r)
               | Error e ->
                   failwith
@@ -183,7 +194,13 @@ let run_corpus ~quick ~drive_trace =
         ("reconfig_ratio_ok", Json.Bool rc_ok);
       ]
   in
-  (viol_ok && rc_ok, json)
+  ( json,
+    [
+      Kit.gate "proactive_violation_ok" viol_ok
+        "proactive accrued more violation-seconds than debounced on its corpus";
+      Kit.gate "proactive_reconfig_ratio_ok" rc_ok
+        "proactive issued more than half of immediate's reconfigurations";
+    ] )
 
 (* ------------------------------------------------------------------ *)
 (* Move-budget corpus: traces whose re-placements re-home chains,
@@ -203,12 +220,12 @@ let budget_specs ~quick =
   in
   if quick then [ List.hd specs; List.nth specs 3 ] else specs
 
-let run_budget ~quick ~jobs ~drive_trace =
+let run_budget ~quick ~jobs =
   let specs = budget_specs ~quick in
   let eval (kind, seed, events, budget) =
     let trace = Trace.generate ~events ~kind ~seed () in
     match
-      drive_trace ?move_budget:(Some budget) ~seed Policy.Immediate trace
+      drive_trace ~move_budget:budget ~seed Policy.Immediate trace
     with
     | Ok r -> r
     | Error e ->
@@ -216,18 +233,14 @@ let run_budget ~quick ~jobs ~drive_trace =
           (Printf.sprintf "budgeted %s seed %d: %s"
              (Trace.kind_to_string kind) seed e)
   in
-  let run_pool ~domains =
-    let results = Lemur_util.Pool.map ~domains eval specs in
-    List.map
-      (function
-        | Ok r -> r
-        | Error (e : Lemur_util.Pool.job_error) -> failwith e.Lemur_util.Pool.message)
-      results
+  let v =
+    Kit.corpus_versus ~label:"move budget determinism" ~jobs
+      ~lines:(List.map Report.digest) eval specs
   in
-  let serial = run_pool ~domains:1 in
-  let parallel = run_pool ~domains:(max 1 jobs) in
-  let digests rs = List.map Report.digest rs in
-  let digests_equal = digests serial = digests parallel in
+  (match Kit.crashes v with
+  | [] -> ()
+  | crashes -> failwith (String.concat "; " crashes));
+  let serial = v.Kit.seq.Kit.value.Kit.runs in
   let cap_respected =
     List.for_all2
       (fun (_, _, _, budget) (r : Report.t) ->
@@ -250,12 +263,10 @@ let run_budget ~quick ~jobs ~drive_trace =
         budget (Trace.kind_to_string kind) seed r.Report.reconfigs
         r.Report.moves_total r.Report.moves_capped)
     specs serial;
-  Printf.printf
-    "move budget: cap %s, capped path %s (%d capped), -j1 vs -j%d digests %s\n"
+  Printf.printf "move budget: cap %s, capped path %s (%d capped)\n"
     (if cap_respected then "respected" else "VIOLATED")
     (if capped_fired then "exercised" else "NEVER FIRED")
-    capped_total (max 1 jobs)
-    (if digests_equal then "identical" else "MISMATCH");
+    capped_total;
   let json =
     Json.Obj
       [
@@ -277,280 +288,208 @@ let run_budget ~quick ~jobs ~drive_trace =
                specs serial) );
         ("cap_respected", Json.Bool cap_respected);
         ("capped_fired", Json.Bool capped_fired);
-        ("jobs", Json.Int (max 1 jobs));
-        ("digests_equal", Json.Bool digests_equal);
+        ("jobs", Json.Int jobs);
+        ("digests_equal", Json.Bool v.Kit.digests_equal);
       ]
   in
-  (cap_respected && capped_fired && digests_equal, json)
+  ( json,
+    [
+      Kit.gate "move_budget_cap_respected" cap_respected
+        "a budgeted reconfiguration re-homed more chains than its budget";
+      Kit.gate "move_budget_capped_fired" capped_fired
+        "the capped re-placement path never fired on the budget corpus";
+      Kit.gate "move_budget_digests_equal" v.Kit.digests_equal
+        (Printf.sprintf "budget-corpus digests differ between -j 1 and -j %d"
+           jobs);
+    ] )
 
 (* ------------------------------------------------------------------ *)
 
-let main args =
-  let seed = ref default_seed
-  and events = ref default_events
-  and quick = ref false
-  and jobs = ref 2
-  and out = ref "BENCH_runtime.json" in
-  let rec parse = function
-    | [] -> Ok ()
-    | "--seed" :: v :: rest ->
-        seed := int_of_string v;
-        parse rest
-    | "--events" :: v :: rest ->
-        events := int_of_string v;
-        parse rest
-    | "--quick" :: rest ->
-        quick := true;
-        parse rest
-    | "-j" :: v :: rest ->
-        jobs := int_of_string v;
-        parse rest
-    | "--out" :: v :: rest ->
-        out := v;
-        parse rest
-    | arg :: _ -> Error arg
+(* Incremental re-placement vs from-scratch: a dedicated demand-churn
+   trace — longer chains than the policy trace, so a re-solve actually
+   has pattern search and coalescing to redo — driven twice under the
+   immediate policy (oracle on), caches dropped before each run so
+   neither inherits warmth. The incremental engine keeps the structural
+   memo and variant cache across re-placements (demand events leave
+   every chain clean, so the whole pattern search replays from cache);
+   the from-scratch one clears them inside every timed decision.
+   Placements — and therefore report digests — must be byte-identical:
+   the caches only change how fast the same answer is derived. *)
+let resolve_trace ~quick ~seed =
+  let topo =
+    {
+      Trace.servers = 3;
+      cores_per_socket = 8;
+      smartnic = true;
+      ofswitch = false;
+      no_pisa = false;
+      metron = false;
+    }
   in
-  match parse args with
-  | Error arg ->
-      Printf.eprintf
-        "bench runtime: unknown argument %S\n\
-         usage: bench -- runtime [--seed N] [--events N] [--quick] [-j N] \
-         [--out FILE]\n"
-        arg;
-      2
-  | Ok () -> (
-      if !quick && !events = default_events then events := 60;
-      let trace = Trace.generate ~events:!events ~seed:!seed () in
+  let chains =
+    [
+      "r0 slo(tmin='2.0Gbps', tmax='40Gbps') = ACL -> Monitor -> NAT -> \
+       Encrypt -> Tunnel -> IPv4Fwd";
+      "r1 slo(tmin='1.5Gbps', tmax='40Gbps') = BPF -> ACL -> Monitor -> NAT \
+       -> Tunnel -> IPv4Fwd";
+      "r2 slo(tmin='1.0Gbps', tmax='40Gbps') = Monitor -> ACL -> NAT -> \
+       Encrypt -> IPv4Fwd";
+    ]
+  in
+  let prng = Lemur_util.Prng.create ~seed in
+  let t = ref 0.0 in
+  let n = if quick then 40 else 120 in
+  let events =
+    List.init n (fun i ->
+        t := !t +. 0.005;
+        let chain_id = Printf.sprintf "r%d" (i mod 3) in
+        let rate = float_of_int (5 + Lemur_util.Prng.int prng 200) *. 1e8 in
+        { Trace.at = !t; action = Trace.Traffic { chain_id; rate } })
+  in
+  { Trace.seed = None; topo; chains; windows = []; events; horizon = !t +. 0.01 }
+
+let run_incremental ~quick ~seed =
+  let trace = resolve_trace ~quick ~seed in
+  let drive ~incremental =
+    Lemur_placer.Memo.clear ();
+    Lemur_placer.Strategy.clear_variant_cache ();
+    drive_trace ~incremental ~seed Policy.Immediate trace
+  in
+  match (drive ~incremental:true, drive ~incremental:false) with
+  | Error e, _ | _, Error e -> (false, Json.Obj [ ("error", Json.String e) ])
+  | Ok inc, Ok scratch ->
+      let inc_mean, _, _ = latency_stats inc.Report.decision_latency_s in
+      let scratch_mean, _, _ = latency_stats scratch.Report.decision_latency_s in
+      let resolve_speedup =
+        if inc_mean > 0.0 then scratch_mean /. inc_mean else 0.0
+      in
+      let digests_equal =
+        String.equal (Report.digest inc) (Report.digest scratch)
+      in
       Printf.printf
-        "## runtime: control-loop policies on trace seed %d (%d events, %d \
-         chains, %.3fs horizon)\n"
-        !seed !events
-        (List.length trace.Trace.chains)
-        trace.Trace.horizon;
-      let drive_trace ?move_budget ~seed policy trace =
-        let cfg =
-          Engine.default_config ~policy ~seed
-            ~check:Lemur_check.Runtime_check.checker ?move_budget ()
-        in
-        match Engine.run cfg trace with
-        | Ok (report, _) -> Ok report
-        | Error e -> Error (Engine.error_to_string e)
-      in
-      let drive policy = drive_trace ~seed:!seed policy trace in
-      let run_all =
-        let policies =
+        "incremental re-placement: mean decision %.2f ms vs %.2f ms from \
+         scratch (%.2fx), digests %s\n"
+        (inc_mean *. 1000.0) (scratch_mean *. 1000.0) resolve_speedup
+        (if digests_equal then "identical" else "MISMATCH");
+      ( digests_equal,
+        Json.Obj
           [
-            ("immediate", Policy.Immediate);
-            ("debounced", Policy.default_debounced);
-            ("scheduled", Policy.Scheduled);
-          ]
-        in
-        List.fold_left
-          (fun acc (name, p) ->
-            Result.bind acc (fun rs ->
-                match drive p with
-                | Ok r -> Ok (rs @ [ (name, r) ])
-                | Error e -> Error (name ^ ": " ^ e)))
-          (Ok []) policies
-      in
-      (* Incremental re-placement vs from-scratch: a dedicated
-         demand-churn trace — longer chains than the policy trace, so a
-         re-solve actually has pattern search and coalescing to redo —
-         driven twice under the immediate policy (oracle on), caches
-         dropped before each run so neither inherits warmth. The
-         incremental engine keeps the structural memo and variant cache
-         across re-placements (demand events leave every chain clean,
-         so the whole pattern search replays from cache); the
-         from-scratch one clears them inside every timed decision.
-         Placements — and therefore report digests — must be
-         byte-identical: the caches only change how fast the same
-         answer is derived. *)
-      let resolve_trace =
-        let topo =
-          {
-            Trace.servers = 3;
-            cores_per_socket = 8;
-            smartnic = true;
-            ofswitch = false;
-            no_pisa = false;
-            metron = false;
-          }
-        in
-        let chains =
-          [
-            "r0 slo(tmin='2.0Gbps', tmax='40Gbps') = ACL -> Monitor -> NAT \
-             -> Encrypt -> Tunnel -> IPv4Fwd";
-            "r1 slo(tmin='1.5Gbps', tmax='40Gbps') = BPF -> ACL -> Monitor \
-             -> NAT -> Tunnel -> IPv4Fwd";
-            "r2 slo(tmin='1.0Gbps', tmax='40Gbps') = Monitor -> ACL -> NAT \
-             -> Encrypt -> IPv4Fwd";
-          ]
-        in
-        let prng = Lemur_util.Prng.create ~seed:!seed in
-        let t = ref 0.0 in
-        let n = if !quick then 40 else 120 in
-        let events =
-          List.init n (fun i ->
-              t := !t +. 0.005;
-              let chain_id = Printf.sprintf "r%d" (i mod 3) in
-              let rate =
-                float_of_int (5 + Lemur_util.Prng.int prng 200) *. 1e8
-              in
-              { Trace.at = !t; action = Trace.Traffic { chain_id; rate } })
-        in
-        {
-          Trace.seed = None;
-          topo;
-          chains;
-          windows = [];
-          events;
-          horizon = !t +. 0.01;
-        }
-      in
-      let drive_incremental ~incremental =
-        Lemur_placer.Memo.clear ();
-        Lemur_placer.Strategy.clear_variant_cache ();
-        let cfg =
-          Engine.default_config ~policy:Policy.Immediate ~seed:!seed
-            ~check:Lemur_check.Runtime_check.checker ~incremental ()
-        in
-        match Engine.run cfg resolve_trace with
-        | Ok (report, _) -> Ok report
-        | Error e -> Error (Engine.error_to_string e)
-      in
-      match run_all with
-      | Error e ->
-          Printf.eprintf "bench runtime: %s\n" e;
-          1
-      | Ok results ->
-          let digest name = Report.digest (List.assoc name results) in
-          (* determinism gate: replay immediate and compare digests *)
-          let replay_digest =
-            match drive Policy.Immediate with
-            | Ok r -> Report.digest r
-            | Error e -> e
-          in
-          let table =
-            Lemur_util.Texttable.create
-              ~headers:
-                [
-                  "policy"; "reconfigs"; "violation (chain-s)";
-                  "marginal (Gbit)"; "decision mean (ms)";
-                ]
-          in
-          List.iter
-            (fun (name, (r : Report.t)) ->
-              let mean, _, _ = latency_stats r.Report.decision_latency_s in
-              Lemur_util.Texttable.add_row table
-                [
-                  name;
-                  string_of_int r.Report.reconfigs;
-                  Printf.sprintf "%.4f" r.Report.total_violation_s;
-                  Printf.sprintf "%.2f" (r.Report.total_marginal_bits /. 1e9);
-                  Printf.sprintf "%.2f" (mean *. 1000.0);
-                ])
-            results;
-          Lemur_util.Texttable.print table;
-          let imm = List.assoc "immediate" results in
-          let deb = List.assoc "debounced" results in
-          let deterministic = String.equal (digest "immediate") replay_digest in
-          let incremental_section =
-            match
-              (drive_incremental ~incremental:true,
-               drive_incremental ~incremental:false)
-            with
-            | Error e, _ | _, Error e -> Error e
-            | Ok inc, Ok scratch ->
-                let inc_mean, _, _ =
-                  latency_stats inc.Report.decision_latency_s
-                in
-                let scratch_mean, _, _ =
-                  latency_stats scratch.Report.decision_latency_s
-                in
-                let resolve_speedup =
-                  if inc_mean > 0.0 then scratch_mean /. inc_mean else 0.0
-                in
-                let digests_equal =
-                  String.equal (Report.digest inc) (Report.digest scratch)
-                in
-                Printf.printf
-                  "incremental re-placement: mean decision %.2f ms vs %.2f \
-                   ms from scratch (%.2fx), digests %s\n"
-                  (inc_mean *. 1000.0) (scratch_mean *. 1000.0)
-                  resolve_speedup
-                  (if digests_equal then "identical" else "MISMATCH");
-                Ok
-                  ( digests_equal,
-                    Json.Obj
-                      [
-                        ("reconfigs", Json.Int inc.Report.reconfigs);
-                        ( "incremental_decision_mean_s",
-                          Json.Float inc_mean );
-                        ( "scratch_decision_mean_s",
-                          Json.Float scratch_mean );
-                        ("resolve_speedup", Json.Float resolve_speedup);
-                        ("digests_equal", Json.Bool digests_equal);
-                        ( "incremental_digest",
-                          Json.String (Report.digest inc) );
-                      ] )
-          in
-          let ratio_ok =
-            deb.Report.reconfigs * 2 <= imm.Report.reconfigs
-          in
-          let budget =
-            violation_premium_abs
-            +. (violation_premium_rel *. imm.Report.total_violation_s)
-          in
-          let premium_ok = deb.Report.total_violation_s <= budget in
-          Printf.printf
-            "determinism: %s\nreconfig ratio: %d vs %d (%s)\n\
-             violation premium: %.4f vs budget %.4f chain-s (%s)\n"
-            (if deterministic then "ok" else "DIGEST MISMATCH")
-            imm.Report.reconfigs deb.Report.reconfigs
-            (if ratio_ok then "ok, >=2x fewer" else "FAILED: < 2x")
-            deb.Report.total_violation_s budget
-            (if premium_ok then "ok" else "FAILED");
-          let incremental_ok, incremental_json =
-            match incremental_section with
-            | Ok (equal, json) -> (equal, json)
-            | Error e ->
-                ( false,
-                  Json.Obj [ ("error", Json.String e) ] )
-          in
-          let proactive_ok, proactive_json =
-            run_corpus ~quick:!quick ~drive_trace
-          in
-          let budget_ok, budget_json =
-            run_budget ~quick:!quick ~jobs:!jobs ~drive_trace
-          in
-          let doc =
-            Json.Obj
-              [
-                ("schema", Json.String "lemur.bench.runtime/2");
-                ("trace_seed", Json.Int !seed);
-                ("trace_events", Json.Int !events);
-                ("quick", Json.Bool !quick);
-                ("horizon_s", Json.Float trace.Trace.horizon);
-                ( "policies",
-                  Json.List
-                    (List.map
-                       (fun (name, r) -> policy_json name r (digest name))
-                       results) );
-                ("deterministic", Json.Bool deterministic);
-                ("reconfig_ratio_ok", Json.Bool ratio_ok);
-                ("violation_premium_ok", Json.Bool premium_ok);
-                ("incremental", incremental_json);
-                ("proactive_corpus", proactive_json);
-                ("move_budget", budget_json);
-              ]
-          in
-          let oc = open_out !out in
-          output_string oc (Json.to_string doc);
-          output_string oc "\n";
-          close_out oc;
-          Printf.printf "wrote %s\n" !out;
-          if
-            deterministic && ratio_ok && premium_ok && incremental_ok
-            && proactive_ok && budget_ok
-          then 0
-          else 1)
+            ("reconfigs", Json.Int inc.Report.reconfigs);
+            ("incremental_decision_mean_s", Json.Float inc_mean);
+            ("scratch_decision_mean_s", Json.Float scratch_mean);
+            ("resolve_speedup", Json.Float resolve_speedup);
+            ("digests_equal", Json.Bool digests_equal);
+            ("incremental_digest", Json.String (Report.digest inc));
+          ] )
+
+let main args =
+  let seed = ref default_seed and events = ref None and quick = ref false
+  and jobs = ref 2 in
+  Kit.main ~cmd:"runtime" ~out:"BENCH_runtime.json"
+    ~specs:
+      (Kit.seed seed
+      @ Kit.size "--events" "trace events (default 200, --quick 60)" events
+      @ Kit.quick quick @ Kit.jobs jobs)
+    args
+  @@ fun () ->
+  let quick = !quick and seed = !seed and jobs = !jobs in
+  let events =
+    Option.value !events ~default:(if quick then 60 else default_events)
+  in
+  let trace = Trace.generate ~events ~seed () in
+  Printf.printf
+    "## runtime: control-loop policies on trace seed %d (%d events, %d \
+     chains, %.3fs horizon)\n"
+    seed events
+    (List.length trace.Trace.chains)
+    trace.Trace.horizon;
+  let drive policy = drive_trace ~seed policy trace in
+  let results =
+    List.map
+      (fun (name, p) ->
+        match drive p with
+        | Ok r -> (name, r)
+        | Error e -> failwith (name ^ ": " ^ e))
+      [
+        ("immediate", Policy.Immediate);
+        ("debounced", Policy.default_debounced);
+        ("scheduled", Policy.Scheduled);
+      ]
+  in
+  let digest name = Report.digest (List.assoc name results) in
+  (* determinism gate: replay immediate and compare digests *)
+  let replay_digest =
+    match drive Policy.Immediate with Ok r -> Report.digest r | Error e -> e
+  in
+  let table =
+    Lemur_util.Texttable.create
+      ~headers:
+        [
+          "policy"; "reconfigs"; "violation (chain-s)"; "marginal (Gbit)";
+          "decision mean (ms)";
+        ]
+  in
+  List.iter
+    (fun (name, (r : Report.t)) ->
+      let mean, _, _ = latency_stats r.Report.decision_latency_s in
+      Lemur_util.Texttable.add_row table
+        [
+          name;
+          string_of_int r.Report.reconfigs;
+          Printf.sprintf "%.4f" r.Report.total_violation_s;
+          Printf.sprintf "%.2f" (r.Report.total_marginal_bits /. 1e9);
+          Printf.sprintf "%.2f" (mean *. 1000.0);
+        ])
+    results;
+  Lemur_util.Texttable.print table;
+  let imm = List.assoc "immediate" results in
+  let deb = List.assoc "debounced" results in
+  let deterministic = String.equal (digest "immediate") replay_digest in
+  let incremental_ok, incremental_json = run_incremental ~quick ~seed in
+  let ratio_ok = deb.Report.reconfigs * 2 <= imm.Report.reconfigs in
+  let budget =
+    violation_premium_abs
+    +. (violation_premium_rel *. imm.Report.total_violation_s)
+  in
+  let premium_ok = deb.Report.total_violation_s <= budget in
+  Printf.printf
+    "determinism: %s\nreconfig ratio: %d vs %d (%s)\n\
+     violation premium: %.4f vs budget %.4f chain-s (%s)\n"
+    (if deterministic then "ok" else "DIGEST MISMATCH")
+    imm.Report.reconfigs deb.Report.reconfigs
+    (if ratio_ok then "ok, >=2x fewer" else "FAILED: < 2x")
+    deb.Report.total_violation_s budget
+    (if premium_ok then "ok" else "FAILED");
+  let proactive_json, proactive_gates = run_corpus ~quick in
+  let budget_json, budget_gates = run_budget ~quick ~jobs in
+  {
+    Kit.schema = "lemur.bench.runtime/2";
+    fields =
+      [
+        ("trace_seed", Json.Int seed);
+        ("trace_events", Json.Int events);
+        ("quick", Json.Bool quick);
+        ("horizon_s", Json.Float trace.Trace.horizon);
+        ( "policies",
+          Json.List
+            (List.map
+               (fun (name, r) -> policy_json name r (digest name))
+               results)
+        );
+        ("incremental", incremental_json);
+        ("proactive_corpus", proactive_json);
+        ("move_budget", budget_json);
+      ];
+    gates =
+      [
+        Kit.gate "deterministic" deterministic
+          "replaying the immediate policy changed its report digest";
+        Kit.gate "reconfig_ratio_ok" ratio_ok
+          "debounced did not reconfigure >= 2x less often than immediate";
+        Kit.gate "violation_premium_ok" premium_ok
+          "debounced exceeded its violation-seconds budget";
+        Kit.gate "incremental_digests_equal" incremental_ok
+          "incremental re-placement diverged from from-scratch (or errored)";
+      ]
+      @ proactive_gates @ budget_gates;
+  }

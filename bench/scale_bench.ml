@@ -22,16 +22,14 @@
 module Fabric = Lemur_topology.Fabric
 module Shard = Lemur_placer.Shard
 module Fabric_check = Lemur_check.Fabric_check
-module Pool = Lemur_util.Pool
+module Kit = Bench_kit
 module Json = Lemur_telemetry.Json
 
-let now = Unix.gettimeofday
-
-let timed_place ~jobs cfg demands =
-  let t0 = now () in
-  let outcome = Shard.place ~jobs cfg demands in
-  let wall = Lemur_util.Timing.duration ~start:t0 ~stop:(now ()) in
-  (outcome, wall)
+let cross_rack (fp : Shard.fabric_placement) =
+  List.length
+    (List.filter
+       (fun (a : Shard.assignment) -> a.Shard.a_cross)
+       fp.Shard.assignments)
 
 let run_json ~jobs ~chains (fp : Shard.fabric_placement) wall =
   Json.Obj
@@ -41,12 +39,7 @@ let run_json ~jobs ~chains (fp : Shard.fabric_placement) wall =
       ( "chains_per_sec",
         Json.Float (if wall > 0.0 then float_of_int chains /. wall else 0.0) );
       ("repair_moves", Json.Int (List.length fp.Shard.repairs));
-      ( "cross_rack_chains",
-        Json.Int
-          (List.length
-             (List.filter
-                (fun (a : Shard.assignment) -> a.Shard.a_cross)
-                fp.Shard.assignments)) );
+      ("cross_rack_chains", Json.Int (cross_rack fp));
       ("total_rate_gbps", Json.Float (fp.Shard.total_rate /. 1e9));
       ("total_marginal_gbps", Json.Float (fp.Shard.total_marginal /. 1e9));
       ("cores_used", Json.Int fp.Shard.cores_used);
@@ -54,178 +47,115 @@ let run_json ~jobs ~chains (fp : Shard.fabric_placement) wall =
     ]
 
 let main args =
-  let racks = ref 50
-  and chains = ref 2000
-  and tenants = ref None
-  and seed = ref 1
-  and jobs = ref None
-  and budget_s = ref None
-  and quick = ref false
-  and out = ref "BENCH_scale.json" in
-  let rec parse = function
-    | [] -> Ok ()
-    | "--racks" :: v :: rest ->
-        racks := int_of_string v;
-        parse rest
-    | "--chains" :: v :: rest ->
-        chains := int_of_string v;
-        parse rest
-    | "--tenants" :: v :: rest ->
-        tenants := Some (int_of_string v);
-        parse rest
-    | "--seed" :: v :: rest ->
-        seed := int_of_string v;
-        parse rest
-    | ("-j" | "--jobs") :: v :: rest ->
-        jobs := Some (int_of_string v);
-        parse rest
-    | "--budget-s" :: v :: rest ->
-        budget_s := Some (float_of_string v);
-        parse rest
-    | "--quick" :: rest ->
-        quick := true;
-        parse rest
-    | "--out" :: v :: rest ->
-        out := v;
-        parse rest
-    | arg :: _ -> Error arg
+  let racks = ref None and chains = ref None and tenants = ref None
+  and seed = ref 1 and jobs = ref (Kit.default_jobs ()) and budget_s = ref None
+  and quick = ref false in
+  Kit.main ~cmd:"scale" ~out:"BENCH_scale.json"
+    ~specs:
+      (Kit.quick quick
+      @ Kit.size "--racks" "fabric racks (default 50, --quick 4)" racks
+      @ Kit.size "--chains" "chain demands (default 2000, --quick 64)" chains
+      @ Kit.size "--tenants" "tenants (default max 4 (2 x racks))" tenants
+      @ Kit.seed seed @ Kit.jobs jobs
+      @ [
+          ( "--budget-s",
+            Arg.Float (fun b -> budget_s := Some b),
+            "X wall-clock budget of the fanned-out run (default 300, \
+             --quick 60)" );
+        ])
+    args
+  @@ fun () ->
+  let racks = Option.value !racks ~default:(if !quick then 4 else 50) in
+  let chains = Option.value !chains ~default:(if !quick then 64 else 2000) in
+  let tenants = Option.value !tenants ~default:(max 4 (2 * racks)) in
+  let budget =
+    Option.value !budget_s ~default:(if !quick then 60.0 else 300.0)
   in
-  match parse args with
-  | Error arg ->
-      Printf.eprintf
-        "bench scale: unknown argument %S\n\
-         usage: bench -- scale [--quick] [--racks N] [--chains N] \
-         [--tenants N] [--seed N] [-j N] [--budget-s X] [--out FILE]\n"
-        arg;
-      2
-  | Ok () ->
-      if !quick then begin
-        racks := 4;
-        chains := 64
-      end;
-      let tenants =
-        match !tenants with Some t -> t | None -> max 4 (2 * !racks)
-      in
-      let budget =
-        match !budget_s with
-        | Some b -> b
-        | None -> if !quick then 60.0 else 300.0
-      in
-      let jobs =
-        match !jobs with
-        | Some j -> max 1 j
-        | None -> max 2 (Pool.recommended_domains ())
-      in
-      let fabric = Fabric.synthetic ~racks:!racks () in
-      let demands =
-        Fabric.expand
-          (Fabric.synthetic_tenants ~seed:!seed ~tenants ~chains:!chains
-             fabric)
-      in
-      let cfg = Shard.default_config fabric in
-      Printf.printf
-        "## scale: %d rack(s) (%d NF cores), %d tenant(s) -> %d chain(s), \
-         %.1f Gbps aggregate floor, -j 1 vs -j %d (host reports %d domain(s))\n\
-         %!"
-        !racks
-        (Fabric.total_nf_cores fabric)
-        tenants (List.length demands)
-        (Fabric.total_demand demands /. 1e9)
-        jobs
-        (Pool.recommended_domains ());
-      let seq, seq_wall = timed_place ~jobs:1 cfg demands in
-      let par, par_wall = timed_place ~jobs cfg demands in
-      let report label outcome wall =
-        match (outcome : Shard.outcome) with
-        | Shard.Infeasible { errors; repairs } ->
-            Printf.printf "  %s: INFEASIBLE after %.2fs (%d repair move(s)):\n"
-              label wall (List.length repairs);
-            List.iter
-              (fun e -> Printf.printf "    %s\n" (Shard.error_to_string e))
-              errors;
-            None
-        | Shard.Placed fp ->
-            Printf.printf
-              "  %s: %.2fs, %d repair move(s), %d cross-rack, digest %s\n%!"
-              label wall
-              (List.length fp.Shard.repairs)
-              (List.length
-                 (List.filter
-                    (fun (a : Shard.assignment) -> a.Shard.a_cross)
-                    fp.Shard.assignments))
-              (Shard.digest fp);
-            Some fp
-      in
-      let seq_fp = report "-j 1" seq seq_wall in
-      let par_fp = report (Printf.sprintf "-j %d" jobs) par par_wall in
-      (match (seq_fp, par_fp) with
-      | Some _, Some _ | None, None -> ()
-      | _ -> Printf.printf "  FEASIBILITY MISMATCH between job counts\n");
-      let digests_equal =
-        match (seq_fp, par_fp) with
-        | Some a, Some b -> String.equal (Shard.digest a) (Shard.digest b)
-        | None, None -> true (* both infeasible: the infeasibility gate fires *)
-        | _ -> false
-      in
-      let oracle_violations =
-        match par_fp with
-        | None -> [ "placement infeasible" ]
-        | Some fp -> (
-            match Fabric_check.check fp with
-            | Ok () -> []
-            | Error vs ->
-                List.map
-                  (fun v -> Format.asprintf "%a" Fabric_check.pp_violation v)
-                  vs)
-      in
-      let within_budget = par_wall <= budget in
-      Printf.printf "determinism: %s\n"
-        (if digests_equal then "ok, digests identical" else "DIGEST MISMATCH");
-      (match oracle_violations with
-      | [] -> Printf.printf "oracle: clean\n"
-      | vs ->
-          Printf.printf "oracle: %d VIOLATION(S)\n" (List.length vs);
-          List.iteri
-            (fun i v -> if i < 10 then Printf.printf "  %s\n" v)
-            vs);
-      Printf.printf "wall clock: %.2fs (budget %.0fs: %s)\n" par_wall budget
-        (if within_budget then "ok" else "EXCEEDED");
-      let doc =
-        Json.Obj
-          [
-            ("schema", Json.String "lemur.bench.scale/1");
-            ("seed", Json.Int !seed);
-            ("racks", Json.Int !racks);
-            ("tenants", Json.Int tenants);
-            ("chains", Json.Int (List.length demands));
-            ("fabric_nf_cores", Json.Int (Fabric.total_nf_cores fabric));
-            ( "aggregate_floor_gbps",
-              Json.Float (Fabric.total_demand demands /. 1e9) );
-            ("host_domains", Json.Int (Pool.recommended_domains ()));
-            ( "sequential",
-              match seq_fp with
-              | Some fp ->
-                  run_json ~jobs:1 ~chains:(List.length demands) fp seq_wall
-              | None -> Json.Obj [ ("infeasible", Json.Bool true) ] );
-            ( "parallel",
-              match par_fp with
-              | Some fp ->
-                  run_json ~jobs ~chains:(List.length demands) fp par_wall
-              | None -> Json.Obj [ ("infeasible", Json.Bool true) ] );
-            ("digests_equal", Json.Bool digests_equal);
-            ( "oracle_clean",
-              Json.Bool (oracle_violations = []) );
-            ("budget_s", Json.Float budget);
-            ("within_budget", Json.Bool within_budget);
-          ]
-      in
-      let oc = open_out !out in
-      output_string oc (Json.to_string doc);
-      output_string oc "\n";
-      close_out oc;
-      Printf.printf "wrote %s\n" !out;
-      if
-        digests_equal && oracle_violations = [] && within_budget
-        && par_fp <> None
-      then 0
-      else 1
+  let jobs = !jobs in
+  let fabric = Fabric.synthetic ~racks () in
+  let demands =
+    Fabric.expand (Fabric.synthetic_tenants ~seed:!seed ~tenants ~chains fabric)
+  in
+  let cfg = Shard.default_config fabric in
+  Printf.printf
+    "## scale: %d rack(s) (%d NF cores), %d tenant(s) -> %d chain(s), %.1f Gbps \
+     aggregate floor, %s\n%!"
+    racks
+    (Fabric.total_nf_cores fabric)
+    tenants (List.length demands)
+    (Fabric.total_demand demands /. 1e9)
+    (Kit.jobs_note jobs);
+  let v =
+    Kit.versus ~jobs
+      ~digest:(function
+        | Shard.Placed fp -> Shard.digest fp
+        | Shard.Infeasible _ -> "infeasible")
+      (fun ~jobs -> Shard.place ~jobs cfg demands)
+  in
+  let placed label (side : Shard.outcome Kit.side) =
+    match side.Kit.value with
+    | Shard.Infeasible { errors; repairs } ->
+        Printf.printf "  %s: INFEASIBLE (%d repair move(s)):\n" label
+          (List.length repairs);
+        List.iter
+          (fun e -> Printf.printf "    %s\n" (Shard.error_to_string e))
+          errors;
+        None
+    | Shard.Placed fp ->
+        Printf.printf "  %s: %d repair move(s), %d cross-rack\n" label
+          (List.length fp.Shard.repairs) (cross_rack fp);
+        Some fp
+  in
+  let seq_fp = placed "-j 1" v.Kit.seq in
+  let par_fp = placed (Printf.sprintf "-j %d" jobs) v.Kit.par in
+  let oracle_violations =
+    match par_fp with
+    | None -> [ "placement infeasible" ]
+    | Some fp -> (
+        match Fabric_check.check fp with
+        | Ok () -> []
+        | Error vs ->
+            List.map
+              (fun v -> Format.asprintf "%a" Fabric_check.pp_violation v)
+              vs)
+  in
+  let par_wall = v.Kit.par.Kit.wall in
+  let within_budget = par_wall <= budget in
+  (match oracle_violations with
+  | [] -> Printf.printf "oracle: clean\n"
+  | vs ->
+      Printf.printf "oracle: %d VIOLATION(S)\n" (List.length vs);
+      List.iteri (fun i v -> if i < 10 then Printf.printf "  %s\n" v) vs);
+  Printf.printf "wall clock: %.2fs (budget %.0fs: %s)\n" par_wall budget
+    (if within_budget then "ok" else "EXCEEDED");
+  let side_json ~jobs fp (side : _ Kit.side) =
+    match fp with
+    | Some fp -> run_json ~jobs ~chains:(List.length demands) fp side.Kit.wall
+    | None -> Json.Obj [ ("infeasible", Json.Bool true) ]
+  in
+  {
+    Kit.schema = "lemur.bench.scale/1";
+    fields =
+      [
+        ("seed", Json.Int !seed);
+        ("racks", Json.Int racks);
+        ("tenants", Json.Int tenants);
+        ("chains", Json.Int (List.length demands));
+        ("fabric_nf_cores", Json.Int (Fabric.total_nf_cores fabric));
+        ( "aggregate_floor_gbps",
+          Json.Float (Fabric.total_demand demands /. 1e9) );
+        ("sequential", side_json ~jobs:1 seq_fp v.Kit.seq);
+        ("parallel", side_json ~jobs par_fp v.Kit.par);
+        ("budget_s", Json.Float budget);
+      ];
+    gates =
+      [
+        Kit.digest_gate v;
+        Kit.gate "oracle_clean" (oracle_violations = [])
+          "the fabric placement failed the oracle (or is infeasible)";
+        Kit.gate "within_budget" within_budget
+          (Printf.sprintf
+             "fanned-out placement took %.2fs, over the %.0fs budget" par_wall
+             budget);
+      ];
+  }

@@ -72,15 +72,12 @@ let with_telemetry file f =
   match file with
   | None -> f ()
   | Some path ->
-      let t = Lemur_telemetry.Telemetry.create () in
-      Lemur_telemetry.Telemetry.set_current t;
-      Fun.protect
-        ~finally:(fun () ->
-          Lemur_telemetry.Telemetry.set_current Lemur_telemetry.Telemetry.disabled;
+      Lemur_telemetry.Telemetry.scoped
+        ~finally:(fun t ->
           try Lemur_telemetry.Telemetry.write_json t path
           with Sys_error msg ->
             Printf.eprintf "lemur: cannot write telemetry dump: %s\n" msg)
-        f
+        (fun _ -> f ())
 
 let strategy =
   let strategies =

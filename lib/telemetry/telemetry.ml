@@ -41,6 +41,15 @@ let current_sink = ref disabled
 let current () = !current_sink
 let set_current t = current_sink := t
 
+let scoped ?(finally = ignore) f =
+  let t = create () in
+  set_current t;
+  Fun.protect
+    ~finally:(fun () ->
+      set_current disabled;
+      finally t)
+    (fun () -> f t)
+
 (* ------------------------------------------------------------------ *)
 (* Recording *)
 

@@ -66,6 +66,12 @@ val current : unit -> t
 
 val set_current : t -> unit
 
+val scoped : ?finally:(t -> unit) -> (t -> 'a) -> 'a
+(** [scoped ?finally f] makes a fresh recording registry {!current},
+    runs [f] with it, then restores {!disabled} and calls [finally] on
+    the registry (default: nothing) — also when [f] raises, so a failed
+    run can still dump what it recorded. *)
+
 (** {2 Recording} *)
 
 val counter : t -> string -> Counter.t

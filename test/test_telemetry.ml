@@ -162,6 +162,35 @@ let test_disabled_sink () =
   Alcotest.(check int) "span passes value through" 42 r;
   Alcotest.(check int) "no spans recorded" 0 (List.length (Telemetry.spans t))
 
+(* [scoped] makes a fresh registry current for the thunk only, and the
+   [finally] hook sees what was recorded even when the thunk raises. *)
+let test_scoped () =
+  let dumped = ref [] in
+  let finally t =
+    Alcotest.(check bool) "restored before finally" false
+      (Telemetry.enabled (Telemetry.current ()));
+    dumped := List.map Counter.value (Telemetry.counters t) :: !dumped
+  in
+  let r =
+    Telemetry.scoped ~finally (fun t ->
+        Alcotest.(check bool) "fresh registry is current" true
+          (Telemetry.current () == t && Telemetry.enabled t);
+        Counter.incr (Telemetry.counter (Telemetry.current ()) "ok");
+        7)
+  in
+  Alcotest.(check int) "value passed through" 7 r;
+  (match
+     Telemetry.scoped ~finally (fun t ->
+         Counter.incr ~by:3 (Telemetry.counter t "failing");
+         failwith "boom")
+   with
+  | () -> Alcotest.fail "the exception was swallowed"
+  | exception Failure _ -> ());
+  Alcotest.(check (list (list int)))
+    "both registries dumped" [ [ 3 ]; [ 1 ] ] !dumped;
+  Alcotest.(check bool) "disabled afterwards" false
+    (Telemetry.enabled (Telemetry.current ()))
+
 (* ------------------------------------------------------------------ *)
 (* JSON round trip                                                      *)
 
@@ -268,6 +297,8 @@ let suite =
     Alcotest.test_case "span nesting" `Quick test_span_nesting;
     Alcotest.test_case "span survives exceptions" `Quick test_span_exception;
     Alcotest.test_case "disabled sink is inert" `Quick test_disabled_sink;
+    Alcotest.test_case "scoped registry restores the disabled sink" `Quick
+      test_scoped;
     Alcotest.test_case "json round trip" `Quick test_json_roundtrip;
     Alcotest.test_case "json parser" `Quick test_json_parser;
     Alcotest.test_case "json unicode escapes" `Quick test_json_unicode_escapes;
