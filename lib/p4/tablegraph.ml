@@ -6,45 +6,58 @@ type table = {
   entries_hint : int;
 }
 
+(* Each node keeps its edges newest first, the order [predecessors] and
+   [successors] return, so both are O(1) and a compile that walks the
+   graph stays linear in tables plus edges. *)
+type node = {
+  table : table;
+  mutable preds : string list;
+  mutable succs : string list;
+}
+
 type t = {
+  nodes : (string, node) Hashtbl.t;
   mutable table_list : table list; (* reversed *)
   mutable dep_list : (string * string) list; (* (before, after), reversed *)
 }
 
-let create () = { table_list = []; dep_list = [] }
+let create () = { nodes = Hashtbl.create 16; table_list = []; dep_list = [] }
 
 let find t name =
-  List.find_opt (fun tab -> String.equal tab.table_name name) t.table_list
+  Option.map (fun n -> n.table) (Hashtbl.find_opt t.nodes name)
 
 let add_table t table =
-  if find t table.table_name <> None then
+  if Hashtbl.mem t.nodes table.table_name then
     invalid_arg
       (Printf.sprintf "Tablegraph.add_table: duplicate table %S" table.table_name);
+  Hashtbl.replace t.nodes table.table_name { table; preds = []; succs = [] };
   t.table_list <- table :: t.table_list
+
+let dep_end t name =
+  match Hashtbl.find_opt t.nodes name with
+  | Some n -> n
+  | None -> invalid_arg (Printf.sprintf "Tablegraph.add_dep: unknown table %S" name)
 
 let add_dep t ~before ~after =
   if String.equal before after then
     invalid_arg "Tablegraph.add_dep: self-dependency";
-  if find t before = None then
-    invalid_arg (Printf.sprintf "Tablegraph.add_dep: unknown table %S" before);
-  if find t after = None then
-    invalid_arg (Printf.sprintf "Tablegraph.add_dep: unknown table %S" after);
-  if not (List.mem (before, after) t.dep_list) then
+  let b = dep_end t before in
+  let a = dep_end t after in
+  if not (List.mem before a.preds) then begin
+    a.preds <- before :: a.preds;
+    b.succs <- after :: b.succs;
     t.dep_list <- (before, after) :: t.dep_list
+  end
 
 let tables t = List.rev t.table_list
 let deps t = List.rev t.dep_list
-let table_count t = List.length t.table_list
+let table_count t = Hashtbl.length t.nodes
 
-let predecessors t name =
-  List.filter_map
-    (fun (before, after) -> if String.equal after name then Some before else None)
-    t.dep_list
+let edges pick t name =
+  match Hashtbl.find_opt t.nodes name with Some n -> pick n | None -> []
 
-let successors t name =
-  List.filter_map
-    (fun (before, after) -> if String.equal before name then Some after else None)
-    t.dep_list
+let predecessors = edges (fun n -> n.preds)
+let successors = edges (fun n -> n.succs)
 
 let has_cycle t =
   (* Kahn's algorithm: if we cannot consume all tables, there is a cycle. *)

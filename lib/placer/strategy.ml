@@ -235,41 +235,42 @@ let finalize strategy config policy plans ~elapsed_start =
 (* Lemur heuristic                                                      *)
 
 (* Step 1: greedy switch placement, evicting the cheapest movable NF
-   until the unified pipeline compiles. *)
+   until the unified pipeline compiles. A candidate's cost is static and
+   an eviction only moves the victim, so the victims come in one fixed
+   order: the candidates at the first verdict that does not fit (plan
+   order, then node order), stably sorted by cost, which is the first
+   minimum a rescan would pick at every step. The order is built
+   lazily because most calls fit at once. *)
 let evict_to_fit config plans =
   let tm = Lemur_telemetry.Telemetry.current () in
   Lemur_telemetry.Telemetry.with_span tm "placer.evict_to_fit" @@ fun () ->
   let evictions = Lemur_telemetry.Telemetry.counter tm "placer.evict.evictions" in
-  let rec go plans =
-    match Stagecheck.check config plans with
-    | Stagecheck.Fits _ -> Some plans
-    | Stagecheck.Conflict _ | Stagecheck.Overflow _ -> (
-        let candidates =
-          List.concat_map
-            (fun plan ->
-              List.map
-                (fun (id, cost) -> (plan, id, cost))
-                (Stagecheck.movable_switch_nodes config plan))
-            plans
-        in
-        match Lemur_util.Listx.min_by (fun (_, _, c) -> c) candidates with
-        | None -> None
-        | Some (victim_plan, id, _) ->
-            Lemur_telemetry.Counter.incr evictions;
-            let plans =
-              List.map
-                (fun plan ->
-                  if plan == victim_plan then begin
-                    let locs = Array.copy plan.Plan.locs in
-                    locs.(id) <- Plan.Server;
-                    elaborate config plan.Plan.input locs
-                  end
-                  else plan)
-                plans
-            in
-            go plans)
+  let plans = Array.of_list plans in
+  let victims () =
+    List.concat
+      (List.mapi
+         (fun i plan ->
+           List.map (fun (id, cost) -> (i, id, cost))
+             (Stagecheck.movable_switch_nodes config plan))
+         (Array.to_list plans))
+    |> List.stable_sort (fun (_, _, a) (_, _, b) -> Float.compare a b)
   in
-  go plans
+  let rec go order =
+    let current = Array.to_list plans in
+    match Stagecheck.check config current with
+    | Stagecheck.Fits _ -> Some current
+    | Stagecheck.Conflict _ | Stagecheck.Overflow _ -> (
+        match Lazy.force order with
+        | [] -> None
+        | (i, id, _) :: rest ->
+            Lemur_telemetry.Counter.incr evictions;
+            let plan = plans.(i) in
+            let locs = Array.copy plan.Plan.locs in
+            locs.(id) <- Plan.Server;
+            plans.(i) <- elaborate config plan.Plan.input locs;
+            go (Lazy.from_val rest))
+  in
+  go (lazy (victims ()))
 
 (* Step 2: coalescing. Moving a switch NF with server neighbours on both
    sides to the server merges its two neighbouring subgroups. *)

@@ -56,6 +56,14 @@ type outcome = Placed of placement | Infeasible of { reason : string }
 
 val place : t -> Plan.config -> Plan.chain_input list -> outcome
 
+val evict_to_fit : Plan.config -> Plan.plan list -> Plan.plan list option
+(** The heuristic's step 1 (§3.2 compiler in the loop): move the
+    cheapest movable switch NF ({!Stagecheck.movable_switch_nodes}) to
+    the server, first minimum on ties in plan then node order, until
+    {!Stagecheck.check} accepts the unified pipeline. [None] when no
+    candidate is left. Every eviction ticks [placer.evict.evictions].
+    Exposed for tests. *)
+
 val lemur_variants :
   Plan.config -> Plan.chain_input list -> Plan.plan list list option
 (** The heuristic's candidate placements after step 2 — baseline,

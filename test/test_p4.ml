@@ -320,10 +320,174 @@ let test_mae_run_drop_guard () =
   let env = Mae.run [] [ dropper; setter ] in
   Alcotest.(check int) "later tables skipped after drop" 0 (Mae.get env "seen")
 
+(* The list-scan table graph [Tablegraph] replaced, with [Stagepack.pack]
+   over it: the reference the indexed graph must match call for call. *)
+module Listgraph = struct
+  type t = {
+    mutable table_list : Tablegraph.table list; (* reversed *)
+    mutable dep_list : (string * string) list; (* reversed *)
+  }
+
+  let create () = { table_list = []; dep_list = [] }
+
+  let find t name =
+    List.find_opt (fun tab -> String.equal tab.Tablegraph.table_name name) t.table_list
+
+  let add_table t (table : Tablegraph.table) =
+    if find t table.table_name <> None then
+      invalid_arg
+        (Printf.sprintf "Tablegraph.add_table: duplicate table %S" table.table_name);
+    t.table_list <- table :: t.table_list
+
+  let add_dep t ~before ~after =
+    if String.equal before after then
+      invalid_arg "Tablegraph.add_dep: self-dependency";
+    if find t before = None then
+      invalid_arg (Printf.sprintf "Tablegraph.add_dep: unknown table %S" before);
+    if find t after = None then
+      invalid_arg (Printf.sprintf "Tablegraph.add_dep: unknown table %S" after);
+    if not (List.mem (before, after) t.dep_list) then
+      t.dep_list <- (before, after) :: t.dep_list
+
+  let tables t = List.rev t.table_list
+  let deps t = List.rev t.dep_list
+  let names t = List.map (fun tab -> tab.Tablegraph.table_name) (tables t)
+
+  let predecessors t name =
+    List.filter_map
+      (fun (before, after) -> if String.equal after name then Some before else None)
+      t.dep_list
+
+  let successors t name =
+    List.filter_map
+      (fun (before, after) -> if String.equal before name then Some after else None)
+      t.dep_list
+
+  let has_cycle t =
+    let in_deg = Hashtbl.create 16 in
+    List.iter (fun n -> Hashtbl.replace in_deg n (List.length (predecessors t n))) (names t);
+    let queue = Queue.create () in
+    List.iter (fun n -> if Hashtbl.find in_deg n = 0 then Queue.add n queue) (names t);
+    let consumed = ref 0 in
+    while not (Queue.is_empty queue) do
+      let n = Queue.pop queue in
+      incr consumed;
+      List.iter
+        (fun succ ->
+          let d = Hashtbl.find in_deg succ - 1 in
+          Hashtbl.replace in_deg succ d;
+          if d = 0 then Queue.add succ queue)
+        (successors t n)
+    done;
+    !consumed <> List.length (names t)
+
+  let critical_path t =
+    let memo = Hashtbl.create 16 in
+    let rec height name =
+      match Hashtbl.find_opt memo name with
+      | Some h -> h
+      | None ->
+          let h =
+            1 + List.fold_left (fun acc p -> max acc (height p)) 0 (predecessors t name)
+          in
+          Hashtbl.replace memo name h;
+          h
+    in
+    List.fold_left (fun acc n -> max acc (height n)) 0 (names t)
+
+  (* Stagepack.pack's passes over the list-scan graph. *)
+  let stage_of_table ~capacity t =
+    let stage_of = Hashtbl.create 16 in
+    let per_stage_load = Hashtbl.create 16 in
+    let load stage = Option.value (Hashtbl.find_opt per_stage_load stage) ~default:0 in
+    let remaining = ref (names t) in
+    while !remaining <> [] do
+      let still = ref [] in
+      List.iter
+        (fun name ->
+          let preds = predecessors t name in
+          if List.for_all (Hashtbl.mem stage_of) preds then begin
+            let stage =
+              ref (List.fold_left (fun acc p -> max acc (Hashtbl.find stage_of p + 1)) 0 preds)
+            in
+            while load !stage >= capacity do
+              incr stage
+            done;
+            Hashtbl.replace stage_of name !stage;
+            Hashtbl.replace per_stage_load !stage (load !stage + 1)
+          end
+          else still := name :: !still)
+        !remaining;
+      remaining := List.rev !still
+    done;
+    List.map (fun n -> (n, Hashtbl.find stage_of n)) (names t)
+end
+
 let qcheck_cases =
   let open QCheck in
   let p4_kinds = List.filter P4nf.supports Kind.all in
   [
+    (* The indexed table graph answers exactly as the list-scan one on
+       random graphs: arbitrary (possibly cyclic or, half the time,
+       forward-only) edges with duplicates, tables inserted in a
+       shuffled order, and the same errors for bad calls. *)
+    Test.make ~name:"indexed table graph matches the list scan" ~count:300
+      (quad bool small_nat small_nat
+         (pair (list_of_size (Gen.int_range 0 40) (pair small_nat small_nat))
+            small_nat))
+      (fun (forward, n, seed, (edges, capacity)) ->
+        (* Sizes are folded into range here: shrinking may leave a range. *)
+        let n = 1 + (n mod 12) and capacity = 1 + (capacity mod 3) in
+        let name i = Printf.sprintf "t%d" i in
+        let tab i =
+          {
+            Tablegraph.table_name = name i;
+            owner = "x";
+            match_fields = [];
+            action = "a";
+            entries_hint = 1;
+          }
+        in
+        let order = Array.init n Fun.id in
+        Lemur_util.Prng.shuffle (Lemur_util.Prng.create ~seed) order;
+        let edges =
+          List.filter_map
+            (fun (a, b) ->
+              let a = a mod n and b = b mod n in
+              if a = b then None
+              else if forward then Some (min a b, max a b)
+              else Some (a, b))
+            edges
+        in
+        let g = Tablegraph.create () and r = Listgraph.create () in
+        Array.iter (fun i -> Tablegraph.add_table g (tab i); Listgraph.add_table r (tab i)) order;
+        List.iter
+          (fun (a, b) ->
+            Tablegraph.add_dep g ~before:(name a) ~after:(name b);
+            Listgraph.add_dep r ~before:(name a) ~after:(name b))
+          (edges @ edges);
+        let error f = match f () with () -> None | exception Invalid_argument m -> Some m in
+        let same_error f f' = error f <> None && error f = error f' in
+        let cyclic = Listgraph.has_cycle r in
+        Tablegraph.tables g = Listgraph.tables r
+        && Tablegraph.deps g = Listgraph.deps r
+        && List.for_all
+             (fun i -> Tablegraph.predecessors g (name i) = Listgraph.predecessors r (name i))
+             (List.init (n + 1) Fun.id)
+        && Tablegraph.has_cycle g = cyclic
+        && (cyclic
+           || Tablegraph.critical_path g = Listgraph.critical_path r
+              && (Stagepack.pack ~capacity g).Stagepack.stage_of_table
+                 = Listgraph.stage_of_table ~capacity r)
+        && same_error
+             (fun () -> Tablegraph.add_table g (tab (n - 1)))
+             (fun () -> Listgraph.add_table r (tab (n - 1)))
+        && List.for_all
+             (fun (before, after) ->
+               same_error
+                 (fun () -> Tablegraph.add_dep g ~before ~after)
+                 (fun () -> Listgraph.add_dep r ~before ~after))
+             [ ("zz", "yy"); (name 0, "zz"); ("zz", name 0); ("zz", "zz"); (name 0, name 0) ]);
     (* Stage packing always respects dependencies and capacity on random
        layered DAGs. *)
     Test.make ~name:"packing respects deps and capacity" ~count:100

@@ -567,6 +567,179 @@ let qcheck_cases =
         String.equal warm cold);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Eviction peel: differential oracle and monotonicity census           *)
+
+(* The rescan-every-step peel that [Strategy.evict_to_fit] replaced: on
+   every non-fitting verdict, re-enumerate each plan's movable switch NFs
+   and evict the first cheapest. [rescan_step] is one such eviction,
+   [None] when no candidate is left. *)
+let rescan_step c plans =
+  let candidates =
+    List.concat_map
+      (fun plan ->
+        List.map (fun (id, cost) -> (plan, id, cost))
+          (Stagecheck.movable_switch_nodes c plan))
+      plans
+  in
+  Lemur_util.Listx.min_by (fun (_, _, cost) -> cost) candidates
+  |> Option.map (fun (victim, id, _) ->
+         List.map
+           (fun plan ->
+             if plan == victim then begin
+               let locs = Array.copy plan.Plan.locs in
+               locs.(id) <- Plan.Server;
+               Plan.elaborate c plan.Plan.input locs
+             end
+             else plan)
+           plans)
+
+(* The old peel: the result and the eviction count. *)
+let rescan_peel c plans =
+  let rec go evictions plans =
+    match Stagecheck.check c plans with
+    | Stagecheck.Fits _ -> (Some plans, evictions)
+    | Stagecheck.Conflict _ | Stagecheck.Overflow _ -> (
+        match rescan_step c plans with
+        | None -> (None, evictions)
+        | Some plans -> go (evictions + 1) plans)
+  in
+  go 0 plans
+
+let evict_counted c plans =
+  Lemur_telemetry.Telemetry.scoped (fun tm ->
+      let result = Strategy.evict_to_fit c plans in
+      ( result,
+        Lemur_telemetry.Counter.value
+          (Lemur_telemetry.Telemetry.counter tm "placer.evict.evictions") ))
+
+(* Every chain on its most- (`Hw) or least- (`Sw) hardware platform, as
+   the heuristic seeds its step 1; [None] when some NF has no platform. *)
+let preferred_plans pref c inputs =
+  let order =
+    match pref with
+    | `Hw -> [ Plan.Switch; Plan.Smartnic; Plan.Ofswitch; Plan.Server ]
+    | `Sw -> [ Plan.Server; Plan.Switch; Plan.Smartnic; Plan.Ofswitch ]
+  in
+  let plan (i : Plan.chain_input) =
+    let locs = Array.make (Graph.size i.Plan.graph) Plan.Server in
+    List.iter
+      (fun n ->
+        match Plan.allowed_locations c n.Graph.instance with
+        | [] -> raise (Plan.Invalid_pattern "no platform")
+        | first :: _ as allowed ->
+            locs.(n.Graph.id) <-
+              Option.value ~default:first
+                (List.find_opt (fun l -> List.mem l allowed) order))
+      (Graph.nodes i.Plan.graph);
+    Plan.elaborate c i locs
+  in
+  match List.map plan inputs with
+  | plans -> Some plans
+  | exception Plan.Invalid_pattern _ -> None
+
+let step1_seeds c inputs =
+  List.filter_map (fun pref -> preferred_plans pref c inputs) [ `Hw; `Sw ]
+  |> List.map (fun plans -> (c, plans))
+
+(* Step-1 seeds of the reference 10-rack, 400-chain fabric (the
+   benchmark's fabric_place): each rack's placed chains, re-seeded. *)
+let fabric_corpus =
+  lazy
+    (let module Fabric = Lemur_topology.Fabric in
+     let fabric = Fabric.synthetic ~racks:10 () in
+     let demands =
+       Fabric.expand
+         (Fabric.synthetic_tenants ~seed:1 ~tenants:20 ~chains:400 fabric)
+     in
+     let cfg = Shard.default_config fabric in
+     match Shard.place ~jobs:1 cfg demands with
+     | Shard.Infeasible _ -> Alcotest.fail "the reference fabric should place"
+     | Shard.Placed fp ->
+         List.concat_map
+           (fun (r : Shard.rack_report) ->
+             step1_seeds
+               (Shard.rack_config cfg (Fabric.find_rack fabric r.Shard.rk_rack))
+               (List.map
+                  (fun (cr : Strategy.chain_report) -> cr.Strategy.plan.Plan.input)
+                  r.Shard.rk_placement.Strategy.chain_reports))
+           fp.Shard.rack_reports)
+
+(* Step-1 seeds of the fuzzer's scenarios 1-100. *)
+let scenario_corpus pref =
+  List.filter_map
+    (fun seed ->
+      let sc = Lemur_check.Scenario.generate ~seed () in
+      let c = Lemur_check.Scenario.config sc in
+      Option.map (fun plans -> (c, plans))
+        (preferred_plans pref c (Lemur_check.Scenario.inputs sc)))
+    (List.init 100 (fun k -> k + 1))
+
+let test_evict_matches_rescan_peel () =
+  let same name c plans =
+    let expected, expected_evictions = rescan_peel c plans in
+    let got, got_evictions = evict_counted c plans in
+    let locs = Option.map (List.map (fun p -> Array.to_list p.Plan.locs)) in
+    Alcotest.(check bool) (name ^ ": same locs") true (locs got = locs expected);
+    Alcotest.(check int) (name ^ ": same evictions") expected_evictions got_evictions;
+    got_evictions
+  in
+  let c = config () in
+  let extreme = extreme_chain_input c extreme_nat_count in
+  let all_switch = Array.make (Graph.size extreme.Plan.graph) Plan.Switch in
+  let evicted = same "extreme" c [ Plan.elaborate c extreme all_switch ] in
+  Alcotest.(check bool) "extreme config evicts" true (evicted > 0);
+  List.iter (fun (c, plans) -> ignore (same "scenario" c plans)) (scenario_corpus `Hw);
+  let fabric_evictions =
+    List.fold_left
+      (fun acc (c, plans) -> acc + same "fabric rack" c plans)
+      0 (Lazy.force fabric_corpus)
+  in
+  Alcotest.(check bool) "the fabric evicts" true (fabric_evictions > 0)
+
+(* The verdict on every prefix of the rescan peel, continued past the
+   first fit until no candidate is left. *)
+let prefix_verdicts c plans =
+  let rec go acc plans =
+    let acc = Stagecheck.check c plans :: acc in
+    match rescan_step c plans with
+    | None -> List.rev acc
+    | Some plans -> go acc plans
+  in
+  go [] plans
+
+(* A galloping search over the victim order would be exact only where
+   "fits" is monotone along it. Over step-1 seeds, count the calls where
+   a prefix longer than the first fitting one does not fit, and the
+   calls that meet a parser conflict on any prefix. Returns (calls,
+   non-monotone, with a conflict); ROADMAP.md records the counts. *)
+let monotonicity_census corpus =
+  List.fold_left
+    (fun (calls, broken, conflicts) (c, plans) ->
+      let verdicts = prefix_verdicts c plans in
+      let rec after_fit = function
+        | [] -> false
+        | Stagecheck.Fits _ :: rest ->
+            List.exists
+              (function Stagecheck.Fits _ -> false | _ -> true)
+              rest
+        | _ :: rest -> after_fit rest
+      in
+      let conflict =
+        List.exists (function Stagecheck.Conflict _ -> true | _ -> false) verdicts
+      in
+      ( calls + 1,
+        (if after_fit verdicts then broken + 1 else broken),
+        if conflict then conflicts + 1 else conflicts ))
+    (0, 0, 0) corpus
+
+let test_monotonicity_census () =
+  let census name corpus expected =
+    Alcotest.(check (triple int int int)) name expected (monotonicity_census corpus)
+  in
+  census "scenario seeds 1-100" (scenario_corpus `Hw @ scenario_corpus `Sw) (192, 0, 0);
+  census "10-rack, 400-chain fabric" (Lazy.force fabric_corpus) (20, 0, 0)
+
 let suite =
   [
     Alcotest.test_case "allowed locations" `Quick test_allowed_locations;
@@ -596,5 +769,7 @@ let suite =
     Alcotest.test_case "latency constrains placement" `Quick test_latency_constrains_placement;
     Alcotest.test_case "config signature is structural" `Quick test_config_sig_structural;
     Alcotest.test_case "variant cache exact under demand shift" `Quick test_variant_cache_demand_shift;
+    Alcotest.test_case "evict_to_fit matches the rescan peel" `Slow test_evict_matches_rescan_peel;
+    Alcotest.test_case "eviction monotonicity census" `Slow test_monotonicity_census;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_cases
